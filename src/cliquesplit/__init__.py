@@ -37,7 +37,6 @@ from .partitioning import (
     CHPartition,
     auto_ch_partition,
     ch_partition,
-    choose_vertex,
     combine_ch,
     combine_split,
     vertex_split,
@@ -108,7 +107,6 @@ __all__ = [
     "brute_force_min",
     "ch_partition",
     "chimera_graph",
-    "choose_vertex",
     "clique_capacity",
     "combine_ch",
     "combine_split",

@@ -97,7 +97,6 @@ def build_parser() -> _Parser:
     split.add_argument("--solver", choices=SOLVER_NAMES, default="exact")
     split.add_argument("--seed", type=int, default=0)
     split.add_argument("--parts", default="auto", help="CH-partition part count or 'auto'")
-    split.add_argument("--parallel", type=int, default=1, metavar="WORKERS")
     split.add_argument("--out", default=None)
 
     solve = sub.add_parser("solve", help="run one subproblem solver directly")
@@ -163,7 +162,6 @@ def _cmd_split(args) -> int:
         seed=args.seed,
         parts=parts,
         solver=args.solver,
-        workers=args.parallel,
     )
     begin = time.perf_counter()
     result = split_solve(g, cfg)

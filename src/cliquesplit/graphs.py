@@ -179,8 +179,9 @@ def clique_result(
 def parse_dimacs(text: str) -> Graph:
     """Parse the DIMACS ASCII clique format.
 
-    Accepts ``c`` comment lines, one ``p edge N M`` line, and ``e u v``
-    lines with 1-based endpoints. Duplicate edge lines are tolerated;
+    Accepts ``c`` comment lines, one ``p edge N M`` line (or ``p col N M``,
+    as in the DIMACS clique benchmark files), and ``e u v`` lines with
+    1-based endpoints. Duplicate edge lines are tolerated;
     self-loops and ids outside [1, N] are errors.
     """
     n: int | None = None
@@ -193,8 +194,8 @@ def parse_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if n is not None:
                 raise DimacsError(f"line {lineno}: duplicate problem line")
-            if len(parts) < 4 or parts[1] != "edge":
-                raise DimacsError(f"line {lineno}: expected 'p edge N M'")
+            if len(parts) < 4 or parts[1] not in ("edge", "col"):
+                raise DimacsError(f"line {lineno}: expected 'p edge N M' or 'p col N M'")
             try:
                 n = int(parts[2])
                 int(parts[3])

@@ -88,35 +88,6 @@ def vertex_split(g: Graph, v: int) -> tuple[Graph, Graph]:
     return g1, g2
 
 
-def select_by_degree(degrees: Sequence[int], ids: Sequence[int], attempt: int) -> int:
-    """Pick by degree rank: attempt 0 = max, 1 = lower median, >= 2 = min.
-
-    Ties go to the smallest vertex id. ``degrees[i]`` belongs to
-    ``ids[i]``.
-    """
-    if not ids:
-        raise ValueError("empty graph")
-    if attempt == 0:
-        return min(zip(ids, degrees), key=lambda p: (-p[1], p[0]))[0]
-    if attempt == 1:
-        target = sorted(degrees)[(len(degrees) - 1) // 2]
-        return min(i for i, d in zip(ids, degrees) if d == target)
-    return min(zip(ids, degrees), key=lambda p: (p[1], p[0]))[0]
-
-
-def choose_vertex(g: Graph, attempt: int = 0) -> int:
-    """Split-vertex choice sequence for one subgraph.
-
-    Successive attempts yield a maximum-degree vertex, then a
-    lower-median-degree vertex, then a minimum-degree vertex. If the
-    minimum degree is |V| - 1 the graph is a clique and the caller should
-    short-circuit instead of splitting.
-    """
-    if g.num_vertices == 0:
-        raise ValueError("empty graph")
-    return select_by_degree(g.degrees(), range(g.num_vertices), attempt)
-
-
 def trivial_partition(g: Graph) -> CHPartition:
     """The s = 1 partition: core = V, halo empty, cost |V|."""
     return CHPartition([set(range(g.num_vertices))], [set()])

@@ -6,15 +6,19 @@ size is already in hand) but keep every clique of size lower_bound + 1 or
 more. ``k_core`` peels low-degree vertices; ``reduce_graph`` additionally
 strips edges around a vertex whose endpoints share too few neighbors to
 sit inside a bigger clique, then peels again.
+
+``Subproblem`` is the one reduction engine: ``k_core``, ``reduce_graph``
+and the split driver all peel and prune through it.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .graphs import Graph, graph_from_adjacency
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -24,131 +28,204 @@ class ReductionOutcome:
     removed_edges: int
 
 
-def peel_to_core(adj: dict[int, set[int]], k: int, candidates: Iterable[int] | None = None) -> int:
-    """In-place k-core peeling; returns the number of removed vertices.
+class Subproblem:
+    """A subgraph in the input graph's id space plus its anchor set.
+
+    Keeps a sorted id list, a degree histogram, and vertices-by-degree
+    classes synchronized under edge and vertex removals, so each driver
+    iteration (vertex choice, uniform random pick, clique check) costs
+    local work instead of a full scan. Degrees only ever decrease here.
+    """
+
+    __slots__ = ("adj", "anchor", "ids", "hist", "by_degree", "core_bound", "_min_deg", "_max_deg")
+
+    def __init__(self, adj: dict[int, set[int]], anchor: frozenset[int] = frozenset()):
+        self.adj = adj
+        self.anchor = anchor
+        self.ids = sorted(adj)
+        max_deg = max((len(s) for s in adj.values()), default=0)
+        self.hist = [0] * (max_deg + 1)
+        self.by_degree: dict[int, set[int]] = {}
+        for v, nbrs in adj.items():
+            d = len(nbrs)
+            self.hist[d] += 1
+            self.by_degree.setdefault(d, set()).add(v)
+        self.core_bound = -1  # largest k this subgraph is known to be a k-core of
+        self._min_deg = 0
+        self._max_deg = max_deg
+
+    @classmethod
+    def from_graph(cls, g: Graph) -> "Subproblem":
+        """A copy of ``g``'s adjacency, in its internal ids."""
+        return cls({v: set(g.neighbors(v)) for v in range(g.num_vertices)})
+
+    @property
+    def size(self) -> int:
+        return len(self.ids)
+
+    def _degree_drop(self, v: int, new_degree: int) -> None:
+        old = new_degree + 1
+        self.hist[old] -= 1
+        self.hist[new_degree] += 1
+        self.by_degree[old].discard(v)
+        self.by_degree.setdefault(new_degree, set()).add(v)
+        if new_degree < self._min_deg:
+            self._min_deg = new_degree
+
+    def min_degree(self) -> int:
+        d = self._min_deg
+        while d < len(self.hist) and self.hist[d] == 0:
+            d += 1
+        self._min_deg = d
+        return d
+
+    def max_degree(self) -> int:
+        d = self._max_deg
+        while d > 0 and self.hist[d] == 0:
+            d -= 1
+        self._max_deg = d
+        return d
+
+    def median_degree(self) -> int:
+        """Lower median of the degree sequence."""
+        target = (len(self.ids) - 1) // 2
+        seen = 0
+        for d in range(self.min_degree(), self.max_degree() + 1):
+            seen += self.hist[d]
+            if seen > target:
+                return d
+        return self.max_degree()
+
+    def smallest_id_of_degree(self, degree: int) -> int:
+        return min(self.by_degree[degree])
+
+    def random_vertex(self, rng: random.Random) -> int:
+        return self.ids[rng.randrange(len(self.ids))]
+
+    def remove_edge(self, u: int, v: int) -> None:
+        self.adj[u].discard(v)
+        self.adj[v].discard(u)
+        self._degree_drop(u, len(self.adj[u]))
+        self._degree_drop(v, len(self.adj[v]))
+
+    def remove_vertex(self, v: int) -> None:
+        for u in self.adj[v]:
+            su = self.adj[u]
+            su.discard(v)
+            self._degree_drop(u, len(su))
+        d = len(self.adj[v])
+        self.hist[d] -= 1
+        self.by_degree[d].discard(v)
+        del self.adj[v]
+        self.ids.pop(bisect_left(self.ids, v))
+
+    def prune_low_overlap_edges(self, centres: Sequence[int], lower_bound: int) -> list[int]:
+        """Drop edges (v, n), v in ``centres``, whose endpoints share fewer
+        than lower_bound - 2 neighbors.
+
+        Inside a clique of size c every edge has at least c - 2 common
+        neighbors, so these edges cannot lie in any clique beating the
+        bound. The scan finishes before any edge is removed (two-phase),
+        so every test sees the input neighbor sets. Returns the endpoints
+        of the dropped edges, possibly repeated; empty when none dropped.
+        """
+        threshold = lower_bound - 2
+        adj = self.adj
+        doomed = []
+        for v in centres:
+            nv = adj[v]
+            doomed.append((v, [n for n in nv if len(nv & adj[n]) < threshold]))
+        touched: list[int] = []
+        for v, dropped in doomed:
+            nv = adj[v]
+            dropped = [n for n in dropped if n in nv]  # an edge found from both ends goes once
+            for n in dropped:
+                self.remove_edge(v, n)
+            if dropped:
+                touched += [v, *dropped]
+        return touched
+
+    def reduce(
+        self,
+        lower_bound: int,
+        rng: random.Random,
+        touched: Iterable[int] | None = None,
+        prune_all_vertices: bool = False,
+    ) -> None:
+        """Core, edge prune, then re-peel the region the prune touched.
+
+        The prune runs around one uniformly random surviving vertex, or
+        around every vertex with ``prune_all_vertices`` (no random draw).
+        When the subgraph is already a core at this bound and ``touched``
+        names every vertex whose degree dropped since, the first peel can
+        start from just those vertices instead of scanning everything.
+        """
+        if touched is not None and lower_bound <= self.core_bound:
+            peel_to_core(self, lower_bound, candidates=touched)
+        else:
+            peel_to_core(self, lower_bound)
+        self.core_bound = lower_bound
+        if self.ids:
+            centres = self.ids if prune_all_vertices else [self.random_vertex(rng)]
+            affected = self.prune_low_overlap_edges(centres, lower_bound)
+            if affected:
+                peel_to_core(self, lower_bound, candidates=affected)
+
+    def extract_neighborhood(self, v: int) -> dict[int, set[int]]:
+        nb = self.adj[v]
+        return {u: self.adj[u] & nb for u in nb}
+
+
+def peel_to_core(sub: Subproblem, k: int, candidates: Iterable[int] | None = None) -> int:
+    """In-place k-core peeling of ``sub``; returns the number of removed vertices.
 
     When ``candidates`` is given only those vertices (and the cascade they
     trigger) are examined — correct whenever every other vertex already
     had degree >= k, which makes incremental re-peeling after local edits
-    linear in the affected region.
+    linear in the affected region. The degree histogram stays in sync.
     """
-    if candidates is None:
-        stack = [v for v in adj if len(adj[v]) < k]
-    else:
-        stack = [v for v in candidates if v in adj and len(adj[v]) < k]
+    adj, ids, hist, by_degree = sub.adj, sub.ids, sub.hist, sub.by_degree
+    pool = ids if candidates is None else candidates
+    stack = [v for v in pool if v in adj and len(adj[v]) < k]
     removed = 0
     while stack:
         v = stack.pop()
         if v not in adj:
             continue
         for u in adj[v]:
-            s = adj[u]
-            s.discard(v)
-            if len(s) < k:
+            su = adj[u]
+            su.discard(v)
+            sub._degree_drop(u, len(su))
+            if len(su) < k:
                 stack.append(u)
+        d = len(adj[v])
+        hist[d] -= 1
+        by_degree[d].discard(v)
         del adj[v]
+        ids.pop(bisect_left(ids, v))
         removed += 1
     return removed
 
 
-def prune_low_overlap_edges(adj: dict[int, set[int]], v: int, lower_bound: int) -> list[int]:
-    """Drop edges (v, n) whose endpoints share fewer than lower_bound - 2 neighbors.
-
-    Inside a clique of size c every edge has at least c - 2 common
-    neighbors, so these edges cannot lie in any clique beating the bound.
-    The scan finishes before any edge is removed (two-phase), so every
-    test sees the input neighbor sets. Returns the dropped neighbors.
-    """
-    threshold = lower_bound - 2
-    nv = adj[v]
-    doomed = [n for n in nv if len(nv & adj[n]) < threshold]
-    for n in doomed:
-        nv.discard(n)
-        adj[n].discard(v)
-    return doomed
-
-
-def reduce_adjacency(
-    adj: dict[int, set[int]],
-    lower_bound: int,
-    rng: random.Random,
-    prune_all_vertices: bool = False,
-) -> tuple[int, int]:
-    """In-place reduction pass; returns (vertices removed, edges pruned).
-
-    Extracts the lower_bound-core, prunes low-overlap edges around one
-    uniformly random surviving vertex (or around every vertex with the
-    variant flag), then re-peels the vertices the pruning touched.
-    """
-    removed_v = peel_to_core(adj, lower_bound)
-    pruned = 0
-    if adj:
-        if prune_all_vertices:
-            # Two-phase across the whole scan: collect against input sets, then apply.
-            threshold = lower_bound - 2
-            doomed: set[tuple[int, int]] = set()
-            for v in sorted(adj):
-                nv = adj[v]
-                for n in nv:
-                    if len(nv & adj[n]) < threshold:
-                        doomed.add((min(v, n), max(v, n)))
-            for u, n in doomed:
-                adj[u].discard(n)
-                adj[n].discard(u)
-            pruned = len(doomed)
-            affected = sorted({x for pair in doomed for x in pair})
-        else:
-            keys = sorted(adj)
-            v = keys[rng.randrange(len(keys))]
-            dropped = prune_low_overlap_edges(adj, v, lower_bound)
-            pruned = len(dropped)
-            affected = [v, *dropped]
-        if pruned:
-            removed_v += peel_to_core(adj, lower_bound, candidates=affected)
-    return removed_v, pruned
-
-
-def core_survivors(g: Graph, k: int) -> list[int]:
-    """Vertices of the k-core, by cascading degree-array peeling.
-
-    Reads ``g`` without copying its adjacency, so the whole computation
-    is one O(|V| + |E|) pass regardless of how much survives.
-    """
-    degrees = g.degrees()
-    dead = [False] * g.num_vertices
-    stack = [v for v, d in enumerate(degrees) if d < k]
-    while stack:
-        v = stack.pop()
-        if dead[v]:
-            continue
-        dead[v] = True
-        for u in g.neighbors(v):
-            if not dead[u]:
-                degrees[u] -= 1
-                if degrees[u] == k - 1:
-                    stack.append(u)
-    return [v for v in range(g.num_vertices) if not dead[v]]
+def _reduced_graph(sub: Subproblem, g: Graph) -> Graph:
+    """The vertices left in ``sub`` as a compact Graph carrying ``g``'s labels."""
+    # Translate ids through a list, not a dict, to keep the rebuild at C speed.
+    index = [-1] * g.num_vertices
+    for new, old in enumerate(sub.ids):
+        index[old] = new
+    translate = index.__getitem__
+    adj = [set(map(translate, sub.adj[old])) for old in sub.ids]
+    return Graph._from_adj(adj, tuple(g.label(old) for old in sub.ids))
 
 
 def k_core(g: Graph, k: int) -> Graph:
     """The maximal subgraph of ``g`` with all degrees >= k (possibly empty)."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    survivors = core_survivors(g, k)
-    if len(survivors) == g.num_vertices:
+    sub = Subproblem.from_graph(g)
+    if not peel_to_core(sub, k):
         return g
-    # Translate ids through a list (peeled vertices map to the -1
-    # sentinel, removed in one discard) to keep the rebuild at C speed.
-    index = [-1] * g.num_vertices
-    for new, old in enumerate(survivors):
-        index[old] = new
-    translate = index.__getitem__
-    adj = []
-    for old in survivors:
-        nbrs = set(map(translate, g.neighbors(old)))
-        nbrs.discard(-1)
-        adj.append(nbrs)
-    return Graph._from_adj(adj, tuple(g.label(old) for old in survivors))
+    return _reduced_graph(sub, g)
 
 
 def reduce_graph(
@@ -165,10 +242,9 @@ def reduce_graph(
     """
     if lower_bound < 0:
         raise ValueError("lower_bound must be non-negative")
-    rng = random.Random(seed)
-    adj = {v: set(g.neighbors(v)) for v in range(g.num_vertices)}
-    reduce_adjacency(adj, lower_bound, rng, prune_all_vertices=prune_all_vertices)
-    out = graph_from_adjacency(adj, labels=(g.label(v) for v in sorted(adj)))
+    sub = Subproblem.from_graph(g)
+    sub.reduce(lower_bound, random.Random(seed), prune_all_vertices=prune_all_vertices)
+    out = _reduced_graph(sub, g)
     return ReductionOutcome(
         graph=out,
         removed_vertices=g.num_vertices - out.num_vertices,

@@ -17,16 +17,15 @@ subproblem shrinking, so the worklist drains for any vertex_limit >= 1.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
-from concurrent.futures import ALL_COMPLETED, FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
-from threading import Lock
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import solvers
+# perfbench patches peel_to_core, auto_ch_partition, ch_partition, graph_from_adjacency here by name.
 from .graphs import CliqueResult, CliqueStats, Graph, clique_result, graph_from_adjacency
 from .partitioning import auto_ch_partition, ch_partition
-from .reduction import peel_to_core
+from .reduction import Subproblem, peel_to_core
 from .solvers import SolverConfig, SolverError, SubproblemSolveError
 
 
@@ -35,166 +34,20 @@ class SplitConfig:
     """Decomposition settings.
 
     ``parts`` fixes the CH-partition part count; None searches powers of
-    two automatically. ``workers`` > 1 solves fitting subproblems
-    concurrently; the final clique size is unchanged, the vertex set may
-    differ among equal-size cliques.
+    two automatically.
     """
 
     vertex_limit: int
     seed: int = 0
     parts: int | None = None
     solver: str = "exact"
-    workers: int = 1
     solver_config: SolverConfig | None = None
 
     def __post_init__(self):
         if self.vertex_limit < 1:
             raise ValueError("vertex_limit must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.parts is not None and self.parts < 1:
             raise ValueError("parts must be >= 1 when given")
-
-
-class Subproblem:
-    """A subgraph in the input graph's id space plus its anchor set.
-
-    Keeps a sorted id list, a degree histogram, and vertices-by-degree
-    classes synchronized under edge and vertex removals, so each driver
-    iteration (vertex choice, uniform random pick, clique check) costs
-    local work instead of a full scan. Degrees only ever decrease here.
-    """
-
-    __slots__ = ("adj", "anchor", "ids", "hist", "by_degree", "core_bound", "_min_deg", "_max_deg")
-
-    def __init__(self, adj: dict[int, set[int]], anchor: frozenset[int] = frozenset()):
-        self.adj = adj
-        self.anchor = anchor
-        self.ids = sorted(adj)
-        max_deg = max((len(s) for s in adj.values()), default=0)
-        self.hist = [0] * (max_deg + 1)
-        self.by_degree: dict[int, set[int]] = {}
-        for v, nbrs in adj.items():
-            d = len(nbrs)
-            self.hist[d] += 1
-            self.by_degree.setdefault(d, set()).add(v)
-        self.core_bound = -1  # largest k this subgraph is known to be a k-core of
-        self._min_deg = 0
-        self._max_deg = max_deg
-
-    @property
-    def size(self) -> int:
-        return len(self.ids)
-
-    def _degree_drop(self, v: int, new_degree: int) -> None:
-        old = new_degree + 1
-        self.hist[old] -= 1
-        self.hist[new_degree] += 1
-        self.by_degree[old].discard(v)
-        self.by_degree.setdefault(new_degree, set()).add(v)
-        if new_degree < self._min_deg:
-            self._min_deg = new_degree
-
-    def min_degree(self) -> int:
-        d = self._min_deg
-        while d < len(self.hist) and self.hist[d] == 0:
-            d += 1
-        self._min_deg = d
-        return d
-
-    def max_degree(self) -> int:
-        d = self._max_deg
-        while d > 0 and self.hist[d] == 0:
-            d -= 1
-        self._max_deg = d
-        return d
-
-    def median_degree(self) -> int:
-        """Lower median of the degree sequence."""
-        target = (len(self.ids) - 1) // 2
-        seen = 0
-        for d in range(self.min_degree(), self.max_degree() + 1):
-            seen += self.hist[d]
-            if seen > target:
-                return d
-        return self.max_degree()
-
-    def smallest_id_of_degree(self, degree: int) -> int:
-        return min(self.by_degree[degree])
-
-    def random_vertex(self, rng: random.Random) -> int:
-        return self.ids[rng.randrange(len(self.ids))]
-
-    def remove_edge(self, u: int, v: int) -> None:
-        self.adj[u].discard(v)
-        self.adj[v].discard(u)
-        self._degree_drop(u, len(self.adj[u]))
-        self._degree_drop(v, len(self.adj[v]))
-
-    def remove_vertex(self, v: int) -> None:
-        for u in self.adj[v]:
-            su = self.adj[u]
-            su.discard(v)
-            self._degree_drop(u, len(su))
-        d = len(self.adj[v])
-        self.hist[d] -= 1
-        self.by_degree[d].discard(v)
-        del self.adj[v]
-        self.ids.pop(bisect_left(self.ids, v))
-
-    def peel(self, k: int, candidates: Iterable[int] | None = None) -> int:
-        """In-place k-core peeling over the synchronized structures."""
-        pool = self.ids if candidates is None else candidates
-        stack = [v for v in pool if v in self.adj and len(self.adj[v]) < k]
-        removed = 0
-        while stack:
-            v = stack.pop()
-            if v not in self.adj:
-                continue
-            for u in self.adj[v]:
-                su = self.adj[u]
-                su.discard(v)
-                self._degree_drop(u, len(su))
-                if len(su) < k:
-                    stack.append(u)
-            d = len(self.adj[v])
-            self.hist[d] -= 1
-            self.by_degree[d].discard(v)
-            del self.adj[v]
-            self.ids.pop(bisect_left(self.ids, v))
-            removed += 1
-        return removed
-
-    def prune_low_overlap_edges(self, v: int, lower_bound: int) -> list[int]:
-        """Two-phase edge prune around ``v`` against the input neighbor sets."""
-        threshold = lower_bound - 2
-        nv = self.adj[v]
-        doomed = [n for n in nv if len(nv & self.adj[n]) < threshold]
-        for n in doomed:
-            self.remove_edge(v, n)
-        return doomed
-
-    def reduce(self, lower_bound: int, rng: random.Random, touched: Iterable[int] | None = None) -> None:
-        """Core, one-vertex edge prune, then re-peel the touched region.
-
-        When the subgraph is already a core at this bound and ``touched``
-        names every vertex whose degree dropped since, the first peel can
-        start from just those vertices instead of scanning everything.
-        """
-        if touched is not None and lower_bound <= self.core_bound:
-            self.peel(lower_bound, candidates=touched)
-        else:
-            self.peel(lower_bound)
-        self.core_bound = lower_bound
-        if self.ids:
-            v = self.random_vertex(rng)
-            doomed = self.prune_low_overlap_edges(v, lower_bound)
-            if doomed:
-                self.peel(lower_bound, candidates=[v, *doomed])
-
-    def extract_neighborhood(self, v: int) -> dict[int, set[int]]:
-        nb = self.adj[v]
-        return {u: self.adj[u] & nb for u in nb}
 
 
 class SubproblemQueue:
@@ -265,9 +118,9 @@ def binary_search_max_clique(g: Graph, has_clique_of_size: Callable[[int], bool]
 
 
 def _choose_split_vertex(sub: Subproblem, vertex_limit: int) -> int:
-    """Highest degree whose neighborhood fits the solver, else median,
-    else minimum degree (smallest neighborhood subgraph). Ties break to
-    the smallest vertex id."""
+    """The maximum degree when its neighborhood fits the solver, else the
+    lower median, else the minimum degree (smallest neighborhood
+    subgraph), also when nothing fits. Ties break to the smallest id."""
     degrees = (sub.max_degree(), sub.median_degree(), sub.min_degree())
     for d in degrees:
         if d <= vertex_limit:
@@ -282,42 +135,20 @@ class _DriverState:
     rng: random.Random
     calls: int = 0
     reductions: int = 0
-    lock: Lock = field(default_factory=Lock)
-    executor: ThreadPoolExecutor | None = None
-    pending: list[Future] = field(default_factory=list)
 
     def solve_item(self, item: Subproblem) -> None:
         subgraph = graph_from_adjacency(item.adj, labels=item.ids)
         seed = self.rng.getrandbits(63)
         self.calls += 1
-        if self.executor is None:
-            self._run(subgraph, item.anchor, seed)
-        else:
-            self.pending.append(self.executor.submit(self._run, subgraph, item.anchor, seed))
-
-    def _run(self, subgraph: Graph, anchor: frozenset[int], seed: int) -> None:
         try:
             result = self.solver(subgraph, seed)
         except SolverError as exc:
             raise SubproblemSolveError(
                 f"subsolver failed on a {subgraph.num_vertices}-vertex subproblem: {exc}",
                 subgraph=subgraph,
-                anchor=anchor,
+                anchor=item.anchor,
             ) from exc
-        with self.lock:
-            self.queue.update_incumbent(set(result.vertices) | anchor)
-
-    def lower_bound(self) -> int:
-        with self.lock:
-            return self.queue.lower_bound
-
-    def drain_pending(self, wait_all: bool) -> None:
-        if not self.pending:
-            return
-        done, rest = wait(self.pending, return_when=ALL_COMPLETED if wait_all else FIRST_COMPLETED)
-        self.pending = list(rest)
-        for fut in done:
-            fut.result()  # propagate subproblem failures
+        self.queue.update_incumbent(set(result.vertices) | item.anchor)
 
 
 def split_solve(
@@ -345,27 +176,19 @@ def split_solve(
 
     queue = SubproblemQueue(solvers.greedy_clique(g))
     state = _DriverState(queue=queue, solver=solver, rng=rng)
-    if cfg.workers > 1:
-        state.executor = ThreadPoolExecutor(max_workers=cfg.workers)
-
-    try:
-        adj = {v: set(g.neighbors(v)) for v in range(n)}
-        state.reductions += 1
-        peel_to_core(adj, queue.lower_bound)
-        if adj:
-            _enqueue_partitions(g, adj, cfg, queue)
-        while queue:
-            item = queue.pop_largest()
-            if item.size == 0:
-                continue
-            if item.size <= cfg.vertex_limit:
-                state.solve_item(item)
-                continue
-            _split_item(item, cfg, state)
-        state.drain_pending(wait_all=True)
-    finally:
-        if state.executor is not None:
-            state.executor.shutdown(wait=True)
+    root = Subproblem.from_graph(g)
+    state.reductions += 1
+    peel_to_core(root, queue.lower_bound)
+    if root.size:
+        _enqueue_partitions(root, cfg, queue)
+    while queue:
+        item = queue.pop_largest()
+        if item.size == 0:
+            continue
+        if item.size <= cfg.vertex_limit:
+            state.solve_item(item)
+            continue
+        _split_item(item, cfg, state)
 
     internal = sorted(queue.incumbent)
     return clique_result(
@@ -373,21 +196,19 @@ def split_solve(
     )
 
 
-def _enqueue_partitions(
-    g: Graph, adj: dict[int, set[int]], cfg: SplitConfig, queue: SubproblemQueue
-) -> None:
-    """CH-partition the reduced graph and queue each part."""
-    kept = sorted(adj)
-    if cfg.parts == 1 or len(kept) == 1:
-        queue.sorted_insert(Subproblem(adj))
+def _enqueue_partitions(root: Subproblem, cfg: SplitConfig, queue: SubproblemQueue) -> None:
+    """CH-partition the reduced graph and queue each part; one part is ``root`` itself."""
+    if cfg.parts == 1 or root.size == 1:
+        queue.sorted_insert(root)
         return
-    compact = graph_from_adjacency(adj, labels=kept)
+    adj = root.adj
+    compact = graph_from_adjacency(adj, labels=root.ids)
     if cfg.parts is None:
         partition = auto_ch_partition(compact, cfg.vertex_limit, cfg.seed)
     else:
         partition = ch_partition(compact, min(cfg.parts, compact.num_vertices), cfg.seed)
     if partition.num_parts == 1:
-        queue.sorted_insert(Subproblem(adj))
+        queue.sorted_insert(root)
         return
     for i in range(partition.num_parts):
         part = {compact.label(v) for v in partition.part_vertices(i)}
@@ -398,15 +219,14 @@ def _enqueue_partitions(
 def _split_item(item: Subproblem, cfg: SplitConfig, state: _DriverState) -> None:
     if item.min_degree() == item.size - 1:
         # The subgraph is a clique: no solve needed.
-        with state.lock:
-            state.queue.update_incumbent(set(item.adj) | item.anchor)
+        state.queue.update_incumbent(set(item.adj) | item.anchor)
         return
 
     v = _choose_split_vertex(item, cfg.vertex_limit)
     ssg_adj = item.extract_neighborhood(v)
     item.remove_vertex(v)
 
-    bound = state.lower_bound()
+    bound = state.queue.lower_bound
     state.reductions += 1
     item.reduce(max(bound - len(item.anchor), 0), state.rng, touched=list(ssg_adj))
     if item.size:

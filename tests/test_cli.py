@@ -77,13 +77,12 @@ class TestSplit:
         assert fields[1:4] == ["4", "6", "2"]
         assert fields[5] == "4"
 
-    def test_parallel_flag(self, tmp_path, capsys):
+    def test_p_col_header(self, tmp_path, capsys):
+        # The DIMACS clique benchmark files use "p col N M".
         src = tmp_path / "in.clq"
-        src.write_text(K4_TEXT)
-        code, out, _ = run_cli(
-            ["split", str(src), "--vertex-limit", "3", "--parallel", "2"], capsys
-        )
-        assert code == 0
+        src.write_text("c benchmark style\n" + K4_TEXT.replace("p edge", "p col"))
+        code, out, err = run_cli(["split", str(src), "--vertex-limit", "3"], capsys)
+        assert code == 0, err
         assert out.strip().splitlines()[1].split(",")[5] == "4"
 
 

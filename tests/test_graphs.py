@@ -25,6 +25,14 @@ class TestParseDimacs:
         assert g.num_edges == 3
         assert all(g.has_edge(u, v) for u in range(3) for v in range(3) if u != v)
 
+    def test_p_col_header(self):
+        g = parse_dimacs(K3_TEXT.replace("p edge", "p col"))
+        assert g == parse_dimacs(K3_TEXT)
+
+    def test_unknown_problem_format(self):
+        with pytest.raises(DimacsError, match="line 1.*expected 'p edge N M' or 'p col N M'"):
+            parse_dimacs("p clique 3 3\n")
+
     def test_isolated_vertices(self):
         g = parse_dimacs("p edge 2 0\n")
         assert g.num_vertices == 2

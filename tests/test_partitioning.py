@@ -7,7 +7,6 @@ from cliquesplit import (
     Graph,
     auto_ch_partition,
     ch_partition,
-    choose_vertex,
     combine_ch,
     combine_split,
     exact_max_clique,
@@ -146,32 +145,3 @@ class TestCombineSplit:
                 k1 = exact_max_clique(g1).size
                 k2 = exact_max_clique(g2).size
                 assert combine_split(k1, k2) == omega
-
-
-class TestChooseVertex:
-    def test_star_hub_first(self):
-        assert choose_vertex(star_graph(4), attempt=0) == 0
-
-    def test_complete_graph_tie_break(self):
-        g = complete_graph(4)
-        assert choose_vertex(g, attempt=0) == 0
-        assert min(g.degrees()) == g.num_vertices - 1  # caller short-circuits
-
-    def test_degree_sequence_max_then_lower_median(self):
-        from cliquesplit.partitioning import select_by_degree
-
-        degrees = [1, 2, 2, 3, 5]
-        ids = [10, 11, 12, 13, 14]
-        assert select_by_degree(degrees, ids, attempt=0) == 14  # degree 5
-        assert select_by_degree(degrees, ids, attempt=1) == 11  # lower median 2
-        assert select_by_degree(degrees, ids, attempt=2) == 10  # minimum
-
-    def test_attempts_on_real_graph(self):
-        g = wheel5()  # hub degree 4, rim degrees 3
-        assert choose_vertex(g, attempt=0) == 0
-        assert choose_vertex(g, attempt=1) == 1  # lower median 3, smallest id
-        assert choose_vertex(g, attempt=2) == 1
-
-    def test_empty_graph(self):
-        with pytest.raises(ValueError):
-            choose_vertex(Graph(0))

@@ -1,6 +1,8 @@
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from cliquesplit import (
     CliqueResult,
@@ -14,9 +16,16 @@ from cliquesplit import (
     split_solve,
     sweep_vertex_limit,
 )
-from cliquesplit.splitting import Subproblem, SubproblemQueue
+from cliquesplit.splitting import Subproblem, SubproblemQueue, _choose_split_vertex
 
-from conftest import brute_max_clique, complete_graph
+from conftest import brute_max_clique, complete_graph, star_graph, wheel5
+
+small_graphs = st.builds(
+    gnp_random,
+    n=st.integers(min_value=1, max_value=12),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
 
 
 class TestSubproblemQueue:
@@ -36,7 +45,61 @@ class TestSubproblemQueue:
         assert q.lower_bound == 3
 
 
+class TestChooseSplitVertex:
+    """The driver's selector: the maximum degree when it fits vertex_limit,
+    else the lower median, else the minimum; ties go to the smallest id."""
+
+    def test_star_hub_first(self):
+        assert _choose_split_vertex(Subproblem.from_graph(star_graph(4)), vertex_limit=10) == 0
+
+    def test_complete_graph_tie_break(self):
+        sub = Subproblem.from_graph(complete_graph(4))
+        assert _choose_split_vertex(sub, vertex_limit=10) == 0
+        assert sub.min_degree() == sub.size - 1  # the driver short-circuits a clique
+
+    def test_wheel_lower_median_smallest_id(self):
+        sub = Subproblem.from_graph(wheel5())  # hub degree 4, rim degrees 3
+        assert _choose_split_vertex(sub, vertex_limit=4) == 0
+        assert _choose_split_vertex(sub, vertex_limit=3) == 1  # lower median 3, smallest id
+
+    def test_degree_sequence(self):
+        # Ids 10..14 with degrees 1, 2, 2, 3, 5. The neighbor sets name
+        # vertices outside the subproblem: the selector reads degrees only.
+        sub = Subproblem({10 + i: set(range(d)) for i, d in enumerate([1, 2, 2, 3, 5])})
+        assert _choose_split_vertex(sub, vertex_limit=5) == 14  # maximum degree 5
+        assert _choose_split_vertex(sub, vertex_limit=4) == 11  # lower median 2
+        assert _choose_split_vertex(sub, vertex_limit=1) == 10  # minimum degree 1
+
+    def test_vertex_limit_fallback(self):
+        # Maximum degree over the limit: try the lower median, then the
+        # minimum degree, which is also the answer when nothing fits.
+        sub = Subproblem({10 + i: set(range(d)) for i, d in enumerate([3, 4, 4, 6, 7])})
+        assert _choose_split_vertex(sub, vertex_limit=7) == 14  # maximum 7 fits
+        assert _choose_split_vertex(sub, vertex_limit=6) == 11  # lower median 4
+        assert _choose_split_vertex(sub, vertex_limit=4) == 11
+        assert _choose_split_vertex(sub, vertex_limit=3) == 10  # minimum 3
+        assert _choose_split_vertex(sub, vertex_limit=2) == 10
+        assert _choose_split_vertex(Subproblem.from_graph(wheel5()), vertex_limit=2) == 1
+
+    def test_follows_removals(self):
+        sub = Subproblem.from_graph(wheel5())
+        sub.remove_vertex(0)  # the rim 4-cycle is left, every degree 2
+        assert _choose_split_vertex(sub, vertex_limit=10) == 1
+        sub.remove_edge(1, 2)
+        assert _choose_split_vertex(sub, vertex_limit=10) == 3  # degree 2: vertices 3 and 4
+        assert _choose_split_vertex(sub, vertex_limit=1) == 1  # median 1: vertices 1 and 2
+
+
 class TestSplitSolve:
+    @given(g=small_graphs, seed=st.integers(min_value=0, max_value=2**16),
+           parts=st.sampled_from([None, 1, 2]))
+    def test_exact_matches_brute_force_at_every_limit(self, g, seed, parts):
+        omega = brute_max_clique(g)
+        for limit in range(1, g.num_vertices + 1):
+            result = split_solve(g, SplitConfig(vertex_limit=limit, seed=seed, parts=parts))
+            assert is_clique(g, result.vertices)
+            assert len(result.vertices) == result.size == omega
+
     def test_small_graph_single_solver_call(self, k5):
         calls = []
 
@@ -100,13 +163,6 @@ class TestSplitSolve:
             split_solve(g, SplitConfig(vertex_limit=10, seed=0), solver=broken)
         assert info.value.subgraph.num_vertices <= 10
 
-    def test_parallel_mode_same_size(self):
-        g = gnp_random(80, 0.3, 5)
-        serial = split_solve(g, SplitConfig(vertex_limit=25, seed=7))
-        parallel = split_solve(g, SplitConfig(vertex_limit=25, seed=7, workers=4))
-        assert parallel.size == serial.size
-        assert is_clique(g, parallel.vertices)
-
     def test_sa_clique_backend_end_to_end(self):
         g = gnp_random(60, 0.4, 8)
         expected = exact_max_clique(g).size
@@ -120,8 +176,6 @@ class TestSplitSolve:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SplitConfig(vertex_limit=0)
-        with pytest.raises(ValueError):
-            SplitConfig(vertex_limit=5, workers=0)
 
 
 class TestSweepVertexLimit:
