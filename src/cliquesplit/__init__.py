@@ -59,6 +59,7 @@ from .solvers import (
     SolverConfig,
     SolverError,
     SubproblemSolveError,
+    binary_search_max_clique,
     exact_max_clique,
     greedy_clique,
     local_search_descent,
@@ -71,7 +72,6 @@ from .solvers import (
 from .splitting import (
     SplitConfig,
     SubproblemQueue,
-    binary_search_max_clique,
     split_solve,
     sweep_vertex_limit,
 )

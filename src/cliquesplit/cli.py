@@ -48,9 +48,9 @@ def _write_output(text: str, out: str | None) -> None:
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(
         seed=args.seed,
-        budget=getattr(args, "budget", None),
-        alpha=getattr(args, "alpha", 0.9996),
-        num_reads=getattr(args, "num_reads", 500),
+        budget=args.budget,
+        alpha=args.alpha,
+        num_reads=args.num_reads,
     )
 
 

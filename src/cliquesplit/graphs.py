@@ -181,10 +181,13 @@ def parse_dimacs(text: str) -> Graph:
 
     Accepts ``c`` comment lines, one ``p edge N M`` line (or ``p col N M``,
     as in the DIMACS clique benchmark files), and ``e u v`` lines with
-    1-based endpoints. Duplicate edge lines are tolerated;
-    self-loops and ids outside [1, N] are errors.
+    1-based endpoints. Duplicate edge lines are tolerated, so each edge
+    may also be listed in both directions; M must equal either the number
+    of ``e`` lines or the number of distinct edges. Self-loops and ids
+    outside [1, N] are errors.
     """
     n: int | None = None
+    m = p_line = 0
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -198,11 +201,12 @@ def parse_dimacs(text: str) -> Graph:
                 raise DimacsError(f"line {lineno}: expected 'p edge N M' or 'p col N M'")
             try:
                 n = int(parts[2])
-                int(parts[3])
+                m = int(parts[3])
             except ValueError:
                 raise DimacsError(f"line {lineno}: non-integer counts in problem line") from None
             if n < 0:
                 raise DimacsError(f"line {lineno}: negative vertex count")
+            p_line = lineno
         elif parts[0] == "e":
             if n is None:
                 raise DimacsError(f"line {lineno}: edge before problem line")
@@ -221,7 +225,12 @@ def parse_dimacs(text: str) -> Graph:
             raise DimacsError(f"line {lineno}: unrecognized line {line[:30]!r}")
     if n is None:
         raise DimacsError("missing problem line")
-    return Graph(n, edges)
+    g = Graph(n, edges)
+    if m not in (len(edges), g.num_edges):
+        raise DimacsError(
+            f"line {p_line}: {m} edges declared, {len(edges)} edge lines give {g.num_edges} distinct edges"
+        )
+    return g
 
 
 def write_dimacs(g: Graph) -> str:
@@ -320,13 +329,13 @@ def common_neighbors(g: Graph, u: int, v: int) -> set[int]:
     return g.neighbors(u) & g.neighbors(v)
 
 
-def graph_from_adjacency(adj: dict[int, set[int]], labels: Iterable[int] | None = None) -> Graph:
+def graph_from_adjacency(adj: dict[int, set[int]]) -> Graph:
     """Compact a sparse adjacency dict (arbitrary ids) into a Graph.
 
-    ``labels`` defaults to the sorted dict keys, so results on the compact
-    graph map back to the id space the dict was expressed in.
+    The labels are the sorted dict keys, so results on the compact graph
+    map back to the id space the dict was expressed in.
     """
     keep = sorted(adj)
     index = {old: new for new, old in enumerate(keep)}
-    new_adj = [{index[u] for u in adj[old]} for old in keep]
-    return Graph._from_adj(new_adj, tuple(labels) if labels is not None else tuple(keep))
+    new_adj = [set(map(index.__getitem__, adj[old])) for old in keep]
+    return Graph._from_adj(new_adj, keep)

@@ -31,28 +31,25 @@ class ReductionOutcome:
 class Subproblem:
     """A subgraph in the input graph's id space plus its anchor set.
 
-    Keeps a sorted id list, a degree histogram, and vertices-by-degree
-    classes synchronized under edge and vertex removals, so each driver
-    iteration (vertex choice, uniform random pick, clique check) costs
-    local work instead of a full scan. Degrees only ever decrease here.
+    Keeps a sorted id list and the vertices of each degree (``by_degree``,
+    a list of vertex sets indexed by degree) synchronized under edge and
+    vertex removals, so each driver iteration (vertex choice, uniform
+    random pick, clique check) costs local work instead of a full scan.
+    Degrees only ever decrease here.
     """
 
-    __slots__ = ("adj", "anchor", "ids", "hist", "by_degree", "core_bound", "_min_deg", "_max_deg")
+    __slots__ = ("adj", "anchor", "ids", "by_degree", "core_bound", "_min_deg")
 
     def __init__(self, adj: dict[int, set[int]], anchor: frozenset[int] = frozenset()):
         self.adj = adj
         self.anchor = anchor
         self.ids = sorted(adj)
         max_deg = max((len(s) for s in adj.values()), default=0)
-        self.hist = [0] * (max_deg + 1)
-        self.by_degree: dict[int, set[int]] = {}
+        self.by_degree: list[set[int]] = [set() for _ in range(max_deg + 1)]
         for v, nbrs in adj.items():
-            d = len(nbrs)
-            self.hist[d] += 1
-            self.by_degree.setdefault(d, set()).add(v)
+            self.by_degree[len(nbrs)].add(v)
         self.core_bound = -1  # largest k this subgraph is known to be a k-core of
         self._min_deg = 0
-        self._max_deg = max_deg
 
     @classmethod
     def from_graph(cls, g: Graph) -> "Subproblem":
@@ -64,34 +61,30 @@ class Subproblem:
         return len(self.ids)
 
     def _degree_drop(self, v: int, new_degree: int) -> None:
-        old = new_degree + 1
-        self.hist[old] -= 1
-        self.hist[new_degree] += 1
-        self.by_degree[old].discard(v)
-        self.by_degree.setdefault(new_degree, set()).add(v)
+        self.by_degree[new_degree + 1].discard(v)
+        self.by_degree[new_degree].add(v)
         if new_degree < self._min_deg:
             self._min_deg = new_degree
 
     def min_degree(self) -> int:
         d = self._min_deg
-        while d < len(self.hist) and self.hist[d] == 0:
+        while d < len(self.by_degree) and not self.by_degree[d]:
             d += 1
         self._min_deg = d
         return d
 
     def max_degree(self) -> int:
-        d = self._max_deg
-        while d > 0 and self.hist[d] == 0:
-            d -= 1
-        self._max_deg = d
-        return d
+        by_degree = self.by_degree
+        while len(by_degree) > 1 and not by_degree[-1]:
+            by_degree.pop()
+        return len(by_degree) - 1
 
     def median_degree(self) -> int:
         """Lower median of the degree sequence."""
         target = (len(self.ids) - 1) // 2
         seen = 0
         for d in range(self.min_degree(), self.max_degree() + 1):
-            seen += self.hist[d]
+            seen += len(self.by_degree[d])
             if seen > target:
                 return d
         return self.max_degree()
@@ -113,9 +106,7 @@ class Subproblem:
             su = self.adj[u]
             su.discard(v)
             self._degree_drop(u, len(su))
-        d = len(self.adj[v])
-        self.hist[d] -= 1
-        self.by_degree[d].discard(v)
+        self.by_degree[len(self.adj[v])].discard(v)
         del self.adj[v]
         self.ids.pop(bisect_left(self.ids, v))
 
@@ -182,27 +173,19 @@ def peel_to_core(sub: Subproblem, k: int, candidates: Iterable[int] | None = Non
     When ``candidates`` is given only those vertices (and the cascade they
     trigger) are examined — correct whenever every other vertex already
     had degree >= k, which makes incremental re-peeling after local edits
-    linear in the affected region. The degree histogram stays in sync.
+    linear in the affected region.
     """
-    adj, ids, hist, by_degree = sub.adj, sub.ids, sub.hist, sub.by_degree
-    pool = ids if candidates is None else candidates
+    adj = sub.adj
+    pool = sub.ids if candidates is None else candidates
     stack = [v for v in pool if v in adj and len(adj[v]) < k]
     removed = 0
     while stack:
         v = stack.pop()
         if v not in adj:
             continue
-        for u in adj[v]:
-            su = adj[u]
-            su.discard(v)
-            sub._degree_drop(u, len(su))
-            if len(su) < k:
-                stack.append(u)
-        d = len(adj[v])
-        hist[d] -= 1
-        by_degree[d].discard(v)
-        del adj[v]
-        ids.pop(bisect_left(ids, v))
+        nbrs = adj[v]
+        sub.remove_vertex(v)
+        stack += [u for u in nbrs if len(adj[u]) < k]
         removed += 1
     return removed
 

@@ -60,8 +60,8 @@ class SolverConfig:
 
     ``budget`` counts moves (annealers) or branch nodes (exact); None
     means the backend default. ``alpha`` is the geometric cooling factor
-    T_{n+1} = alpha * T_n. ``initial_temperature`` None means calibrate so
-    that roughly half of the uphill probe moves would be accepted.
+    T_{n+1} = alpha * T_n, starting from a temperature calibrated so that
+    roughly half of the uphill probe moves would be accepted.
     ``num_reads`` is the sample count for the sampler pipeline and the
     restart count for descent; ``restarts`` is the attempts-per-size limit
     of the sa-clique binary search predicate.
@@ -70,7 +70,6 @@ class SolverConfig:
     seed: int = 0
     budget: int | None = None
     alpha: float = 0.9996
-    initial_temperature: float | None = None
     num_reads: int = 500
     restarts: int = 3
 
@@ -242,15 +241,12 @@ def sa_clique(g: Graph, m: int, cfg: SolverConfig = SolverConfig()) -> set[int] 
         return None  # m == n and the graph is not complete
 
     budget = cfg.budget if cfg.budget is not None else SA_CLIQUE_DEFAULT_BUDGET
-    if cfg.initial_temperature is not None:
-        temperature = cfg.initial_temperature
-    else:
-        probes = []
-        for _ in range(100):
-            u = members[rng.integers(len(members))]
-            w = outside[rng.integers(len(outside))]
-            probes.append(float(cnt[w] - cnt[u] - int(nonadj[u, w])))
-        temperature = _calibrate_temperature(probes)
+    probes = []
+    for _ in range(100):
+        u = members[rng.integers(len(members))]
+        w = outside[rng.integers(len(outside))]
+        probes.append(float(cnt[w] - cnt[u] - int(nonadj[u, w])))
+    temperature = _calibrate_temperature(probes)
 
     alpha = cfg.alpha
     batch = 4096
@@ -318,12 +314,9 @@ def sa_qubo(q: Qubo, cfg: SolverConfig = SolverConfig()) -> tuple[list[int], flo
     best_x = list(x)
 
     budget = cfg.budget if cfg.budget is not None else SA_QUBO_DEFAULT_BUDGET
-    if cfg.initial_temperature is not None:
-        temperature = cfg.initial_temperature
-    else:
-        probe_idx = rng.integers(0, n, size=min(100, budget))
-        probes = [gains[i] if x[i] == 0 else -gains[i] for i in probe_idx]
-        temperature = _calibrate_temperature(probes)
+    probe_idx = rng.integers(0, n, size=min(100, budget))
+    probes = [gains[i] if x[i] == 0 else -gains[i] for i in probe_idx]
+    temperature = _calibrate_temperature(probes)
 
     alpha = cfg.alpha
     batch = 4096
@@ -428,6 +421,34 @@ def _repair_to_clique(g: Graph, selected: set[int]) -> set[int]:
         chosen.discard(min((u, v), key=lambda w: (g.degree(w), w)))
 
 
+def binary_search_max_clique(g: Graph, has_clique_of_size: Callable[[int], bool]) -> int:
+    """Largest k with has_clique_of_size(k) true, in O(log n) calls.
+
+    The predicate must be monotone (true up to the maximum clique size,
+    false above); an observed true above an observed false raises
+    ValueError.
+    """
+    n = g.num_vertices
+    if n == 0:
+        return 0
+    lo, hi = 1, n  # every nonempty graph contains a 1-clique
+    max_true = 1
+    min_false = n + 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if has_clique_of_size(mid):
+            if mid > min_false:
+                raise ValueError(f"non-monotone predicate: true at {mid}, false at {min_false}")
+            max_true = max(max_true, mid)
+            lo = mid
+        else:
+            if mid < max_true:
+                raise ValueError(f"non-monotone predicate: false at {mid}, true at {max_true}")
+            min_false = min(min_false, mid)
+            hi = mid - 1
+    return lo
+
+
 SOLVER_NAMES = ("exact", "sa-clique", "sa-qubo", "descent", "sampler")
 
 
@@ -448,8 +469,6 @@ def solve_mc(g: Graph, solver_name: str, cfg: SolverConfig = SolverConfig()) -> 
         return CliqueResult(res.vertices, res.size, "exact", stats)
 
     if solver_name == "sa-clique":
-        from .splitting import binary_search_max_clique
-
         witnesses: dict[int, set[int]] = {}
 
         def has_clique_of_size(m: int) -> bool:

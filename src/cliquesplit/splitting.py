@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from . import solvers
@@ -60,17 +61,13 @@ class SubproblemQueue:
 
     def __init__(self, incumbent: Iterable[int]):
         self.items: list[Subproblem] = []
-        self._sizes: list[int] = []
         self.incumbent: frozenset[int] = frozenset(incumbent)
         self.lower_bound: int = len(self.incumbent)
 
     def sorted_insert(self, item: Subproblem) -> None:
-        idx = bisect_right(self._sizes, item.size)
-        self._sizes.insert(idx, item.size)
-        self.items.insert(idx, item)
+        self.items.insert(bisect_right(self.items, item.size, key=attrgetter("size")), item)
 
     def pop_largest(self) -> Subproblem:
-        self._sizes.pop()
         return self.items.pop()
 
     def update_incumbent(self, vertices: Iterable[int]) -> bool:
@@ -87,34 +84,6 @@ class SubproblemQueue:
 
     def __bool__(self) -> bool:
         return bool(self.items)
-
-
-def binary_search_max_clique(g: Graph, has_clique_of_size: Callable[[int], bool]) -> int:
-    """Largest k with has_clique_of_size(k) true, in O(log n) calls.
-
-    The predicate must be monotone (true up to the maximum clique size,
-    false above); an observed true above an observed false raises
-    ValueError.
-    """
-    n = g.num_vertices
-    if n == 0:
-        return 0
-    lo, hi = 1, n  # every nonempty graph contains a 1-clique
-    max_true = 1
-    min_false = n + 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if has_clique_of_size(mid):
-            if mid > min_false:
-                raise ValueError(f"non-monotone predicate: true at {mid}, false at {min_false}")
-            max_true = max(max_true, mid)
-            lo = mid
-        else:
-            if mid < max_true:
-                raise ValueError(f"non-monotone predicate: false at {mid}, true at {max_true}")
-            min_false = min(min_false, mid)
-            hi = mid - 1
-    return lo
 
 
 def _choose_split_vertex(sub: Subproblem, vertex_limit: int) -> int:
@@ -137,7 +106,7 @@ class _DriverState:
     reductions: int = 0
 
     def solve_item(self, item: Subproblem) -> None:
-        subgraph = graph_from_adjacency(item.adj, labels=item.ids)
+        subgraph = graph_from_adjacency(item.adj)
         seed = self.rng.getrandbits(63)
         self.calls += 1
         try:
@@ -171,8 +140,10 @@ def split_solve(
     rng = random.Random(cfg.seed)
 
     if n <= cfg.vertex_limit:
-        result = solver(g, rng.getrandbits(63))
-        return CliqueResult(result.vertices, result.size, cfg.solver, CliqueStats(1, 0))
+        # Like every subproblem, the solver sees internal ids; its answer is verified.
+        unlabelled = Graph._from_adj([g.neighbors(v) for v in g.vertices()])
+        result = solver(unlabelled, rng.getrandbits(63))
+        return clique_result(g, result.vertices, cfg.solver, CliqueStats(1, 0))
 
     queue = SubproblemQueue(solvers.greedy_clique(g))
     state = _DriverState(queue=queue, solver=solver, rng=rng)
@@ -202,7 +173,7 @@ def _enqueue_partitions(root: Subproblem, cfg: SplitConfig, queue: SubproblemQue
         queue.sorted_insert(root)
         return
     adj = root.adj
-    compact = graph_from_adjacency(adj, labels=root.ids)
+    compact = graph_from_adjacency(adj)
     if cfg.parts is None:
         partition = auto_ch_partition(compact, cfg.vertex_limit, cfg.seed)
     else:

@@ -18,6 +18,7 @@ from cliquesplit import (
     SolverConfig,
     SplitConfig,
     assignment_to_clique,
+    binary_search_max_clique,
     brute_force_min,
     ch_partition,
     chimera_graph,
@@ -37,7 +38,6 @@ from cliquesplit import (
     two_coloring,
     vertex_split,
 )
-from cliquesplit.splitting import binary_search_max_clique
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

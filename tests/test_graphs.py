@@ -62,6 +62,30 @@ class TestParseDimacs:
         g = parse_dimacs("p edge 2 2\ne 1 2\ne 2 1\n")
         assert g.num_edges == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p edge 3 3\ne 1 2\ne 2 1\ne 1 3\ne 3 1\ne 2 3\ne 3 2\n",  # M counts distinct edges
+            "p edge 3 6\ne 1 2\ne 2 1\ne 1 3\ne 3 1\ne 2 3\ne 3 2\n",  # M counts edge lines
+            "p edge 3 3\ne 1 2\ne 1 2\ne 1 3\ne 2 3\n",  # a duplicate line
+        ],
+        ids=["both-directions-distinct", "both-directions-lines", "duplicate-line"],
+    )
+    def test_repeated_edge_lines_accepted(self, text):
+        assert parse_dimacs(text) == parse_dimacs(K3_TEXT)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("c cut short\n" + K3_TEXT.rsplit("e ", 1)[0], "line 2: 3 edges declared, 2 edge lines give 2 distinct"),
+            (K3_TEXT.replace("p edge 3 3", "p edge 3 1"), "line 1: 1 edges declared, 3 edge lines give 3 distinct"),
+        ],
+        ids=["truncated", "undercounted"],
+    )
+    def test_edge_count_mismatch_rejected(self, text, message):
+        with pytest.raises(DimacsError, match=message):
+            parse_dimacs(text)
+
 
 class TestWriteDimacs:
     def test_k3_text(self):

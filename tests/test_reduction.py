@@ -6,6 +6,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from cliquesplit import Graph, exact_max_clique, gnp_random, k_core, reduce_graph
+from cliquesplit.reduction import Subproblem, peel_to_core
 
 from conftest import brute_max_clique, complete_graph, path_graph, random_graphs, star_graph
 
@@ -126,3 +127,47 @@ class TestReduceGraph:
         a = reduce_graph(g, 3, seed=123)
         b = reduce_graph(g, 3, seed=123)
         assert a.graph == b.graph
+
+
+def assert_degree_index_matches(sub):
+    """Every degree query answers what a scan of ``sub.adj`` gives."""
+    degree = {v: len(nbrs) for v, nbrs in sub.adj.items()}
+    assert sub.size == len(degree)
+    assert sub.ids == sorted(degree)
+    if not degree:
+        return
+    ordered = sorted(degree.values())
+    assert sub.min_degree() == ordered[0]
+    assert sub.max_degree() == ordered[-1]
+    assert sub.median_degree() == ordered[(len(ordered) - 1) // 2]
+    for d in set(ordered):
+        assert sub.smallest_id_of_degree(d) == min(v for v in degree if degree[v] == d)
+
+
+class TestSubproblemDegreeIndex:
+    @given(
+        g=st.builds(
+            gnp_random,
+            n=st.integers(min_value=0, max_value=30),
+            p=st.floats(min_value=0.0, max_value=1.0),
+            seed=st.integers(min_value=0, max_value=2**32),
+        ),
+        data=st.data(),
+    )
+    def test_matches_adjacency_after_every_step(self, g, data):
+        sub = Subproblem.from_graph(g)
+        assert_degree_index_matches(sub)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
+            edges = [(u, v) for u in sub.ids for v in sub.adj[u] if u < v]
+            steps = ["peel"] + ["vertex"] * bool(sub.ids) + ["edge"] * bool(edges)
+            step = data.draw(st.sampled_from(steps))
+            if step == "edge":
+                sub.remove_edge(*data.draw(st.sampled_from(edges)))
+            elif step == "vertex":
+                sub.remove_vertex(data.draw(st.sampled_from(sub.ids)))
+            else:
+                before = sub.size
+                k = data.draw(st.integers(min_value=0, max_value=8))
+                assert peel_to_core(sub, k) == before - sub.size
+                assert all(len(nbrs) >= k for nbrs in sub.adj.values())
+            assert_degree_index_matches(sub)

@@ -112,6 +112,25 @@ class TestSplitSolve:
         assert calls == [5]
         assert result.stats.subproblems_solved == 1
 
+    def test_small_graph_answer_is_verified(self):
+        def wrong(subgraph, seed):
+            return CliqueResult(frozenset({0, 1, 2}), 3, "wrong")
+
+        with pytest.raises(ValueError, match="not a clique"):
+            split_solve(Graph(4), SplitConfig(vertex_limit=10), solver=wrong)
+
+    def test_small_graph_keeps_labels(self):
+        g = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)], labels=[40, 30, 20, 10])
+        result = split_solve(g, SplitConfig(vertex_limit=10))
+        assert result.vertices == frozenset({40, 30, 20})
+        assert result.stats.subproblems_solved == 1
+
+        def wrong(subgraph, seed):
+            return CliqueResult(frozenset({0, 3}), 2, "wrong")
+
+        with pytest.raises(ValueError, match="not a clique"):
+            split_solve(g, SplitConfig(vertex_limit=10), solver=wrong)
+
     def test_matches_oracle_small(self):
         rng = random.Random(3)
         for _ in range(40):
