@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph
+from .graphs import Graph, graph_from_adjacency
 
 _MAX_VERTICES = 5_000_000
 
@@ -104,25 +104,16 @@ def apply_defects(
     for v in dead_v:
         if not 0 <= v < n:
             raise ValueError(f"dead vertex {v} out of range")
-    dead_e = set()
+    adj = {v: g.neighbors(v) - dead_v for v in range(n) if v not in dead_v}
     for u, v in dead_edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"dead edge ({u}, {v}) out of range")
-        dead_e.add((min(u, v), max(u, v)))
-    keep = [v for v in range(n) if v not in dead_v]
-    if not keep:
+        if u in adj and v in adj:
+            adj[u].discard(v)
+            adj[v].discard(u)
+    if not adj:
         raise ValueError("all vertices removed")
-    index = {old: new for new, old in enumerate(keep)}
-    adj: list[set[int]] = [set() for _ in keep]
-    for old in keep:
-        for u in g.neighbors(old):
-            if u in dead_v or u <= old:
-                continue
-            if (old, u) in dead_e:
-                continue
-            adj[index[old]].add(index[u])
-            adj[index[u]].add(index[old])
-    return Graph._from_adj(adj, tuple(g.label(old) for old in keep))
+    return graph_from_adjacency(adj, g)
 
 
 def contract_random_edges(g: Graph, m: int, seed: int) -> tuple[Graph, ContractionRecord]:
@@ -156,11 +147,7 @@ def contract_random_edges(g: Graph, m: int, seed: int) -> tuple[Graph, Contracti
         for x in merged:
             adj[x].add(vstar)
         steps.append((u, v, vstar))
-    survivors = sorted(adj)
-    index = {old: new for new, old in enumerate(survivors)}
-    new_adj = [{index[x] for x in adj[old]} for old in survivors]
-    out = Graph._from_adj(new_adj, tuple(g.label(old) for old in survivors))
-    return out, ContractionRecord(tuple(steps))
+    return graph_from_adjacency(adj, g), ContractionRecord(tuple(steps))
 
 
 def clique_capacity(num_qubits: int) -> int:

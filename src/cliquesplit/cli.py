@@ -13,10 +13,11 @@ import csv
 import io
 import sys
 import time
+from dataclasses import fields, replace
 
-from .bench import emit_csv, parse_config, run_experiment
-from .chimera import ChimeraSpec, chimera_graph, clique_capacity, contract_random_edges
-from .graphs import DimacsError, Graph, gnp_random, hamming_graph, parse_dimacs, write_dimacs
+from .bench import BenchConfig, build_graph, emit_csv, parse_config, run_experiment
+from .chimera import clique_capacity
+from .graphs import DimacsError, Graph, parse_dimacs, write_dimacs
 from .qubo import evaluate, mc_to_qubo, write_qubo
 from .reduction import k_core, reduce_graph
 from .solvers import SOLVER_NAMES, SolverConfig, SolverError, solve_mc
@@ -24,6 +25,8 @@ from .splitting import SplitConfig, split_solve
 
 USAGE_ERROR = 1
 SOLVER_FAILURE = 2
+
+_BENCH_FIELDS = {f.name for f in fields(BenchConfig)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -33,8 +36,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_graph(path: str) -> Graph:
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    return parse_dimacs(text)
+    if path == "-":
+        return parse_dimacs(sys.stdin.read())
+    with open(path, encoding="utf-8") as handle:
+        return parse_dimacs(handle.read())
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -125,15 +130,9 @@ def build_parser() -> _Parser:
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "gnp":
-        g = gnp_random(args.n, args.p, args.seed)
-    elif args.family == "chimera":
-        g = chimera_graph(ChimeraSpec(args.rows, args.cols, args.shore))
-    elif args.family == "cm":
-        base = chimera_graph(ChimeraSpec(args.rows, args.cols, args.shore))
-        g, _ = contract_random_edges(base, args.contractions, args.seed)
-    else:
-        g = hamming_graph(args.word_length, args.min_distance)
+    # Each family's options are named like the BenchConfig fields they set.
+    params = {name: value for name, value in vars(args).items() if name in _BENCH_FIELDS}
+    g, _ = build_graph(BenchConfig(graph=args.family, **params), getattr(args, "seed", 0))
     _write_output(write_dimacs(g), args.out)
     return 0
 
@@ -206,8 +205,6 @@ def _cmd_bench(args) -> int:
     if args.repetitions is not None:
         overrides["repetitions"] = args.repetitions
     if overrides:
-        from dataclasses import replace
-
         cfg = replace(cfg, **overrides)
     records = run_experiment(cfg)
     _write_output(emit_csv(records), args.out)

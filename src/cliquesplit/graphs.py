@@ -5,6 +5,12 @@ mapping internal ids back to the vertex ids of the graph it was extracted
 from, so cliques found in subgraphs can be reported in the id space of the
 original input. All graphs are immutable after construction; operations
 return new graphs.
+
+``graph_from_adjacency`` is the one builder that renumbers a subset of
+vertices into a compact graph. Every subgraph (induced subgraphs, cores,
+reduced graphs, defective and contracted Chimera graphs, the split
+driver's subproblems) goes through it; given the ``parent`` graph, it
+composes the parent's labels so each level maps back to the input.
 """
 
 from __future__ import annotations
@@ -307,18 +313,10 @@ def hamming_graph(word_length: int, min_distance: int) -> Graph:
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     """Subgraph induced by ``vertices``; labels record the parent's ids."""
-    keep = sorted(set(vertices))
-    n = g.num_vertices
-    if keep and not (0 <= keep[0] and keep[-1] < n):
+    keep = set(vertices)
+    if keep and not (0 <= min(keep) and max(keep) < g.num_vertices):
         raise ValueError("vertex id out of range")
-    index = {old: new for new, old in enumerate(keep)}
-    translate = index.get  # dropped neighbors map to None, removed in one discard
-    adj = []
-    for old in keep:
-        nbrs = set(map(translate, g.neighbors(old)))
-        nbrs.discard(None)
-        adj.append(nbrs)
-    return Graph._from_adj(adj, tuple(g.label(old) for old in keep))
+    return graph_from_adjacency({v: g.neighbors(v) & keep for v in keep}, g)
 
 
 def common_neighbors(g: Graph, u: int, v: int) -> set[int]:
@@ -329,13 +327,16 @@ def common_neighbors(g: Graph, u: int, v: int) -> set[int]:
     return g.neighbors(u) & g.neighbors(v)
 
 
-def graph_from_adjacency(adj: dict[int, set[int]]) -> Graph:
-    """Compact a sparse adjacency dict (arbitrary ids) into a Graph.
+def graph_from_adjacency(adj: dict[int, set[int]], parent: Graph | None = None) -> Graph:
+    """Renumber an adjacency dict into a compact Graph.
 
-    The labels are the sorted dict keys, so results on the compact graph
-    map back to the id space the dict was expressed in.
+    The keys are internal ids of some graph, and every neighbor must be a
+    key. They are renumbered 0..k-1 in ascending order. The new graph is
+    labelled by the sorted keys, or, when ``parent`` is the graph the ids
+    belong to, by ``parent``'s labels of them, so answers map back through
+    every level of extraction to the input's ids.
     """
     keep = sorted(adj)
     index = {old: new for new, old in enumerate(keep)}
     new_adj = [set(map(index.__getitem__, adj[old])) for old in keep]
-    return Graph._from_adj(new_adj, keep)
+    return Graph._from_adj(new_adj, keep if parent is None else map(parent.label, keep))

@@ -18,7 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, graph_from_adjacency
 
 
 @dataclass(frozen=True)
@@ -190,17 +190,6 @@ def peel_to_core(sub: Subproblem, k: int, candidates: Iterable[int] | None = Non
     return removed
 
 
-def _reduced_graph(sub: Subproblem, g: Graph) -> Graph:
-    """The vertices left in ``sub`` as a compact Graph carrying ``g``'s labels."""
-    # Translate ids through a list, not a dict, to keep the rebuild at C speed.
-    index = [-1] * g.num_vertices
-    for new, old in enumerate(sub.ids):
-        index[old] = new
-    translate = index.__getitem__
-    adj = [set(map(translate, sub.adj[old])) for old in sub.ids]
-    return Graph._from_adj(adj, tuple(g.label(old) for old in sub.ids))
-
-
 def k_core(g: Graph, k: int) -> Graph:
     """The maximal subgraph of ``g`` with all degrees >= k (possibly empty)."""
     if k < 0:
@@ -208,7 +197,7 @@ def k_core(g: Graph, k: int) -> Graph:
     sub = Subproblem.from_graph(g)
     if not peel_to_core(sub, k):
         return g
-    return _reduced_graph(sub, g)
+    return graph_from_adjacency(sub.adj, g)
 
 
 def reduce_graph(
@@ -227,7 +216,7 @@ def reduce_graph(
         raise ValueError("lower_bound must be non-negative")
     sub = Subproblem.from_graph(g)
     sub.reduce(lower_bound, random.Random(seed), prune_all_vertices=prune_all_vertices)
-    out = _reduced_graph(sub, g)
+    out = graph_from_adjacency(sub.adj, g)
     return ReductionOutcome(
         graph=out,
         removed_vertices=g.num_vertices - out.num_vertices,

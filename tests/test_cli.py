@@ -1,3 +1,6 @@
+import gc
+import warnings
+
 from cliquesplit import parse_dimacs, parse_qubo
 from cliquesplit.cli import main
 
@@ -84,6 +87,17 @@ class TestSplit:
         code, out, err = run_cli(["split", str(src), "--vertex-limit", "3"], capsys)
         assert code == 0, err
         assert out.strip().splitlines()[1].split(",")[5] == "4"
+
+    def test_input_file_is_closed(self, tmp_path, capsys):
+        src = tmp_path / "in.clq"
+        src.write_text(K4_TEXT)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["split", str(src), "--vertex-limit", "2", "--seed", "1"])
+            gc.collect()
+        capsys.readouterr()
+        assert code == 0
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestSolve:

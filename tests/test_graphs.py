@@ -1,15 +1,20 @@
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from cliquesplit import (
     DimacsError,
     Graph,
+    apply_defects,
     common_neighbors,
     complement,
+    contract_random_edges,
     gnp_random,
     hamming_graph,
     induced_subgraph,
+    k_core,
     parse_dimacs,
+    reduce_graph,
     write_dimacs,
 )
 
@@ -218,6 +223,124 @@ class TestInducedSubgraph:
     def test_out_of_range(self, k5):
         with pytest.raises(ValueError):
             induced_subgraph(k5, [0, 9])
+
+
+@st.composite
+def labelled_parents(draw):
+    """An induced subgraph of a random graph: labels name the base graph's ids."""
+    n = draw(st.integers(2, 24))
+    base = gnp_random(n, draw(st.floats(0.05, 0.5)), draw(st.integers(0, 2**32)))
+    dropped = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    return induced_subgraph(base, set(range(n)) - dropped)
+
+
+def expected_subgraph(parent, keep, edges):
+    """Reference built by the validating constructor.
+
+    ``keep`` and ``edges`` are in ``parent``'s internal ids; the result
+    numbers ``keep`` in ascending order and labels it with ``parent``'s
+    labels, so its labels name the ids of ``parent``'s own source graph.
+    """
+    keep = sorted(keep)
+    pos = {v: i for i, v in enumerate(keep)}
+    return Graph(len(keep), [(pos[u], pos[v]) for u, v in edges], [parent.label(v) for v in keep])
+
+
+def edges_within(g, vertices):
+    return [(u, v) for u, v in g.edges() if u in vertices and v in vertices]
+
+
+def survivors_in_parent(parent, out):
+    """``out``'s vertices and edges in ``parent``'s internal ids, found through labels."""
+    ids = {parent.label(v): v for v in parent.vertices()}
+    keep = [ids[out.label(i)] for i in out.vertices()]
+    edges = [(keep[i], keep[j]) for i, j in out.edges()]
+    assert all(parent.has_edge(u, v) for u, v in edges)
+    return keep, edges
+
+
+def naive_core(g, k):
+    alive = set(g.vertices())
+    while low := {v for v in alive if len(g.neighbors(v) & alive) < k}:
+        alive -= low
+    return alive
+
+
+def component_count(g):
+    seen: set[int] = set()
+    count = 0
+    for start in g.vertices():
+        if start not in seen:
+            count += 1
+            seen.add(start)
+            stack = [start]
+            while stack:
+                fresh = g.neighbors(stack.pop()) - seen
+                seen |= fresh
+                stack += fresh
+    return count
+
+
+class TestLabelComposition:
+    """Every subgraph builder composes labels through a labelled parent."""
+
+    @given(parent=labelled_parents(), data=st.data())
+    def test_induced_of_induced(self, parent, data):
+        keep = data.draw(st.sets(st.integers(0, parent.num_vertices - 1)))
+        out = induced_subgraph(parent, keep)
+        assert out == expected_subgraph(parent, keep, edges_within(parent, keep))
+
+    # Most cores of small random graphs keep all or nothing; more examples
+    # reach the partial ones.
+    @settings(max_examples=200)
+    @given(parent=labelled_parents(), k=st.integers(1, 4))
+    def test_k_core(self, parent, k):
+        keep = naive_core(parent, k)
+        assert k_core(parent, k) == expected_subgraph(parent, keep, edges_within(parent, keep))
+
+    @settings(max_examples=200)
+    @given(
+        parent=labelled_parents(),
+        lower_bound=st.integers(1, 4),
+        seed=st.integers(0, 99),
+        prune_all_vertices=st.booleans(),
+    )
+    def test_reduce_graph(self, parent, lower_bound, seed, prune_all_vertices):
+        out = reduce_graph(parent, lower_bound, seed, prune_all_vertices).graph
+        keep, edges = survivors_in_parent(parent, out)
+        assert set(keep) <= naive_core(parent, lower_bound)
+        assert out == expected_subgraph(parent, keep, edges)
+
+    @given(parent=labelled_parents(), data=st.data())
+    def test_apply_defects(self, parent, data):
+        n = parent.num_vertices
+        dead_v = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        real = list(parent.edges())
+        dead_e = data.draw(st.lists(st.sampled_from(real) | pairs if real else pairs, max_size=6))
+        out = apply_defects(parent, dead_v, dead_e)
+        keep = set(parent.vertices()) - dead_v
+        dead = {frozenset(e) for e in dead_e}
+        edges = [e for e in edges_within(parent, keep) if frozenset(e) not in dead]
+        assert out == expected_subgraph(parent, keep, edges)
+
+    @given(parent=labelled_parents(), data=st.data(), seed=st.integers(0, 99))
+    def test_contract_random_edges(self, parent, data, seed):
+        # Each contraction merges two vertices of one component.
+        m = data.draw(st.integers(0, parent.num_vertices - component_count(parent)))
+        out, record = contract_random_edges(parent, m, seed)
+        adj = {v: set(parent.neighbors(v)) for v in parent.vertices()}
+        for u, v, vstar in record.steps:
+            assert v in adj[u] and vstar == min(u, v)
+            gone = max(u, v)
+            merged = (adj[u] | adj[v]) - {u, v}
+            for x in merged:
+                adj[x].discard(gone)
+                adj[x].add(vstar)
+            del adj[gone]
+            adj[vstar] = merged
+        edges = [(a, b) for a in adj for b in adj[a] if a < b]
+        assert out == expected_subgraph(parent, adj, edges)
 
 
 class TestCommonNeighbors:
