@@ -185,9 +185,9 @@ def _cmd_solve(args) -> int:
     print(f"clique_size={result.size}")
     print(f"vertices={' '.join(str(v) for v in sorted(result.vertices))}")
     if args.solver in ("sa-qubo", "descent", "sampler"):
-        q = mc_to_qubo(g)
         x = [1 if v in result.vertices else 0 for v in range(g.num_vertices)]
-        print(f"energy={evaluate(q, x):g}")
+        energy = evaluate(mc_to_qubo(g), x) if g.num_vertices else 0.0  # the empty graph has no QUBO
+        print(f"energy={energy:g}")
     print(f"wall_time_s={wall:.6f}")
     return 0
 

@@ -9,9 +9,12 @@ Backends:
   over the target size.
 - ``sa-qubo``: single-bit-flip Metropolis annealing on the clique QUBO.
 - ``descent``: greedy best-improvement bit flips to a 1-flip local
-  minimum, restarted from random assignments.
-- ``sampler``: a pluggable annealer stand-in; each sample is polished by
-  the descent before the best is kept.
+  minimum, restarted from random assignments; all restarts descend
+  together in one batch.
+- ``sampler``: a pluggable annealer stand-in. ``mock_sampler`` sets the
+  QUBO up once per call and anneals all reads in lockstep, each read
+  from its own seed; the samples are then polished in one batched descent
+  before the best is kept.
 
 Every stochastic backend is bit-reproducible given its seed and budget.
 """
@@ -31,6 +34,7 @@ from .qubo import Qubo, evaluate, mc_to_qubo
 SA_CLIQUE_DEFAULT_BUDGET = 30_000
 SA_QUBO_DEFAULT_BUDGET = 20_000
 MOCK_SAMPLER_BUDGET = 200
+MOCK_SAMPLER_ALPHA = 0.98
 
 
 class SolverError(Exception):
@@ -80,6 +84,8 @@ class SolverConfig:
             raise ValueError("budget must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.num_reads < 1:
+            raise ValueError("num_reads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -199,10 +205,11 @@ def _adjacency_matrix(g: Graph) -> np.ndarray:
 
 def _calibrate_temperature(deltas: Sequence[float]) -> float:
     """Pick T so uphill probe moves are accepted about half the time."""
-    uphill = [d for d in deltas if d > 0]
-    if not uphill:
+    probes = np.asarray(deltas, dtype=float)
+    uphill = probes[probes > 0]
+    if uphill.size == 0:
         return 1.0
-    return float(np.mean(uphill)) / math.log(2.0)
+    return float(uphill.mean()) / math.log(2.0)
 
 
 def sa_clique(g: Graph, m: int, cfg: SolverConfig = SolverConfig()) -> set[int] | None:
@@ -296,6 +303,21 @@ def _gains(q: Qubo, x: Sequence[int]) -> list[float]:
     return gains
 
 
+def _anneal_draws(seed: int, n: int, budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Everything one annealing read draws from ``default_rng(seed)``, in
+    order: the start bits, the temperature probes, then the flip indices
+    and uniforms of each 4096-move batch (concatenated)."""
+    rng = np.random.default_rng(seed)
+    start = rng.integers(0, 2, size=n)
+    probes = rng.integers(0, n, size=min(100, budget))
+    flips, uniforms = [], []
+    for step in range(0, budget, 4096):
+        k = min(4096, budget - step)
+        flips.append(rng.integers(0, n, size=k))
+        uniforms.append(rng.random(k))
+    return start, probes, np.concatenate(flips), np.concatenate(uniforms)
+
+
 def sa_qubo(q: Qubo, cfg: SolverConfig = SolverConfig()) -> tuple[list[int], float]:
     """Single-bit-flip Metropolis annealing from a uniform random start.
 
@@ -305,41 +327,101 @@ def sa_qubo(q: Qubo, cfg: SolverConfig = SolverConfig()) -> tuple[list[int], flo
     n = q.num_variables
     if n == 0:
         return [], 0.0
-    rng = np.random.default_rng(cfg.seed)
-    x = [int(b) for b in rng.integers(0, 2, size=n)]
+    budget = cfg.budget if cfg.budget is not None else SA_QUBO_DEFAULT_BUDGET
+    start, probe_idx, flip_idx, uniforms = _anneal_draws(cfg.seed, n, budget)
+    x = [int(b) for b in start]
     nbrs = _flip_neighbors(q)
     gains = _gains(q, x)
     energy = evaluate(q, x)
     best_energy = energy
     best_x = list(x)
 
-    budget = cfg.budget if cfg.budget is not None else SA_QUBO_DEFAULT_BUDGET
-    probe_idx = rng.integers(0, n, size=min(100, budget))
     probes = [gains[i] if x[i] == 0 else -gains[i] for i in probe_idx]
     temperature = _calibrate_temperature(probes)
 
     alpha = cfg.alpha
-    batch = 4096
-    step = 0
-    while step < budget:
-        k = min(batch, budget - step)
-        flip_idx = rng.integers(0, n, size=k)
-        uniforms = rng.random(k)
-        for t in range(k):
-            i = int(flip_idx[t])
-            delta = gains[i] if x[i] == 0 else -gains[i]
-            if delta <= 0 or uniforms[t] < math.exp(-delta / max(temperature, 1e-12)):
-                sign = 1 if x[i] == 0 else -1
-                x[i] ^= 1
-                for j, a in nbrs[i]:
-                    gains[j] += sign * a
-                energy += delta
-                if energy < best_energy:
-                    best_energy = energy
-                    best_x = list(x)
-            temperature *= alpha
-        step += k
+    for i, u in zip(flip_idx.tolist(), uniforms.tolist()):
+        delta = gains[i] if x[i] == 0 else -gains[i]
+        if delta <= 0 or u < math.exp(-delta / max(temperature, 1e-12)):
+            sign = 1 if x[i] == 0 else -1
+            x[i] ^= 1
+            for j, a in nbrs[i]:
+                gains[j] += sign * a
+            energy += delta
+            if energy < best_energy:
+                best_energy = energy
+                best_x = list(x)
+        temperature *= alpha
     return best_x, best_energy
+
+
+def _dense_qubo(q: Qubo) -> tuple[np.ndarray, np.ndarray]:
+    """The linear coefficients as a vector and the couplings as a
+    symmetric matrix with a zero diagonal."""
+    n = q.num_variables
+    linear = np.zeros(n)
+    linear[list(q.linear)] = list(q.linear.values())
+    coupling = np.zeros((n, n))
+    if q.quadratic:
+        rows, cols = np.array(list(q.quadratic)).T
+        coupling[rows, cols] = coupling[cols, rows] = list(q.quadratic.values())
+    return linear, coupling
+
+
+def _energies(linear: np.ndarray, bits: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """Energy of each row of ``bits`` whose gains are ``linear + bits @ coupling``;
+    exact when the coefficients are integers."""
+    return 0.5 * ((linear + gains) * bits).sum(axis=1)
+
+
+def _acceptance_bands(uniforms: np.ndarray, temperature: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds ``lo`` and ``hi`` on a flip's energy change: below ``lo``
+    the Metropolis test of ``sa_qubo``, ``delta <= 0 or u < math.exp(-delta
+    / max(T, 1e-12))``, surely accepts, and from ``hi`` up it surely
+    rejects. The band between is ~1e6 times wider than the rounding of
+    either form of the test; a uniform of 0 gives ``lo`` NaN."""
+    scale = np.maximum(temperature, 1e-12)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cut = scale * -np.log(uniforms)
+        slack = 1e-9 * (cut + scale)
+        return cut - slack, cut + slack
+
+
+def _best_descent(q: Qubo, starts: Sequence[Sequence[int]]) -> tuple[list[int], float]:
+    """Greedy best-improvement descent of every start at once; returns the
+    first of the lowest-energy minima and its energy.
+
+    Each round flips, in every row that can still improve, the variable
+    with the most negative energy change, the lowest index on ties; rows
+    stop at a 1-flip local minimum. Starts are checked as ``evaluate``
+    checks an assignment.
+    """
+    n = q.num_variables
+    for x in starts:
+        if len(x) != n:
+            raise ValueError(f"assignment length {len(x)} != {n} variables")
+    raw = np.asarray(starts).reshape(len(starts), n)
+    if not ((raw == 0) | (raw == 1)).all():
+        raise ValueError("assignment entries must be 0 or 1")
+    bits = raw.astype(np.int8)
+    linear, coupling = _dense_qubo(q)
+    gains = linear + bits @ coupling
+    energy = _energies(linear, bits, gains)
+    rows = np.arange(len(bits))
+    while n:
+        deltas = gains * (1 - 2 * bits)
+        flip = deltas.argmin(axis=1)
+        drop = deltas[rows, flip]
+        live = np.flatnonzero(drop < 0)
+        if live.size == 0:
+            break
+        flip = flip[live]
+        sign = 1 - 2 * bits[live, flip]
+        bits[live, flip] ^= 1
+        gains[live] += sign[:, None] * coupling[flip]
+        energy[live] += drop[live]
+    best = int(np.argmin(energy))
+    return bits[best].tolist(), float(energy[best])
 
 
 def local_search_descent(q: Qubo, start: Sequence[int]) -> tuple[list[int], float]:
@@ -347,57 +429,79 @@ def local_search_descent(q: Qubo, start: Sequence[int]) -> tuple[list[int], floa
 
     The output is a certified 1-flip local minimum with energy at most the
     start's. Ties pick the lowest variable index, so descent is
-    deterministic.
+    deterministic. This is the one-start case of the batched descent that
+    ``sampler_solve`` and the ``descent`` backend run.
     """
-    x = [int(b) for b in start]
-    energy = evaluate(q, x)  # validates length and bit values
-    gains = _gains(q, x)
-    nbrs = _flip_neighbors(q)
-    n = q.num_variables
-    while True:
-        best_i = -1
-        best_delta = 0.0
-        for i in range(n):
-            delta = gains[i] if x[i] == 0 else -gains[i]
-            if delta < best_delta:
-                best_delta = delta
-                best_i = i
-        if best_i < 0:
-            return x, energy
-        sign = 1 if x[best_i] == 0 else -1
-        x[best_i] ^= 1
-        for j, a in nbrs[best_i]:
-            gains[j] += sign * a
-        energy += best_delta
+    return _best_descent(q, [start])
 
 
 def mock_sampler(q: Qubo, num_reads: int, seed: int) -> SampleSet:
-    """Annealer stand-in: each read is a short, independently seeded
-    ``sa_qubo`` run."""
-    assignments = []
-    for read in range(num_reads):
-        x, _ = sa_qubo(q, SolverConfig(seed=seed * 1_000_003 + read, budget=MOCK_SAMPLER_BUDGET, alpha=0.98))
-        assignments.append(x)
-    return SampleSet.from_assignments(q, assignments)
+    """Annealer stand-in: ``num_reads`` short Metropolis reads, annealed in
+    lockstep.
+
+    Read ``r`` draws from its own ``default_rng(seed * 1_000_003 + r)``
+    exactly what ``sa_qubo`` draws at budget ``MOCK_SAMPLER_BUDGET``, and
+    keeps its own calibrated temperature, cooled by ``MOCK_SAMPLER_ALPHA``
+    per move, so each sample is that ``sa_qubo`` run's best assignment.
+    The QUBO is set up once per call, and each move of all reads is one
+    step on a reads x n state. The energy trajectories, and from them each
+    read's best state, are computed once the moves are done. A read with a
+    move too close to the acceptance threshold to decide without
+    ``math.exp`` is run again by ``sa_qubo`` itself. The energies are exact
+    when the coefficients are integers, as in the clique QUBO.
+    """
+    reads = max(num_reads, 0)
+    n = q.num_variables
+    if reads == 0 or n == 0:
+        return SampleSet((((), 0.0),) * reads)
+    budget = MOCK_SAMPLER_BUDGET
+    draws = [_anneal_draws(seed * 1_000_003 + r, n, budget) for r in range(reads)]
+    starts, probes, flips, uniforms = (np.array(part) for part in zip(*draws))
+    linear, coupling = _dense_qubo(q)
+    gains = linear + starts @ coupling
+    signs = 1.0 - 2.0 * starts  # a flip's energy change is gain * sign
+    energy = _energies(linear, starts, gains)
+    first = [_calibrate_temperature(c[p]) for c, p in zip(gains * signs, probes)]
+    cooling = np.full((budget - 1, reads), MOCK_SAMPLER_ALPHA)
+    temperature = np.multiply.accumulate(np.vstack([first, cooling]), axis=0)
+    lo, hi = _acceptance_bands(uniforms.T, temperature)
+
+    cells = flips.T + np.arange(reads) * n  # move t of read r flips cell r*n + i
+    flat_gains, flat_signs = gains.reshape(-1), signs.reshape(-1)
+    deltas = np.empty((budget, reads))
+    for t, cell in enumerate(cells):
+        sign = flat_signs[cell]
+        delta = deltas[t] = flat_gains[cell] * sign
+        live = (delta < lo[t]).nonzero()[0]
+        if live.size:
+            gains[live] += sign[live, None] * coupling[flips[live, t]]
+            flat_signs[cell[live]] = -sign[live]
+
+    accepted = deltas < lo
+    steps = np.where(accepted, deltas, 0.0)
+    trajectory = np.cumsum(np.vstack([energy, steps]), axis=0)
+    best = trajectory.argmin(axis=0)  # the first time each read reaches its lowest energy
+    best_energy = trajectory[best, np.arange(reads)]
+    taken = accepted & (np.arange(budget)[:, None] < best)
+    best_bits = starts ^ (np.bincount(cells[taken], minlength=reads * n).reshape(reads, n) & 1)
+    for r in (~accepted & (deltas < hi)).any(axis=0).nonzero()[0]:
+        read_cfg = SolverConfig(seed=seed * 1_000_003 + r, budget=budget, alpha=MOCK_SAMPLER_ALPHA)
+        best_bits[r], best_energy[r] = sa_qubo(q, read_cfg)
+    samples = sorted(zip(map(tuple, best_bits.tolist()), best_energy.tolist()), key=lambda s: s[1])
+    return SampleSet(tuple(samples))
 
 
 def sampler_solve(
     q: Qubo, sampler: SamplerProtocol, cfg: SolverConfig = SolverConfig()
 ) -> tuple[list[int], float]:
-    """Request ``num_reads`` samples and polish each with the descent,
-    mirroring the anneal-then-postprocess pipeline; returns the best."""
-    if cfg.num_reads < 1:
-        raise ValueError("num_reads must be >= 1")
+    """Request ``num_reads`` samples and polish them all in one batched
+    descent, mirroring the anneal-then-postprocess pipeline; returns the
+    first sample with the lowest polished energy. With ``mock_sampler``
+    the reads anneal in lockstep, each from its own per-read seed."""
     samples = sampler(q, cfg.num_reads, cfg.seed)
     if len(samples) == 0:
         raise SolverError("sampler returned no samples")
-    best: tuple[list[int], float] | None = None
-    for x, _ in samples.samples:
-        polished, energy = local_search_descent(q, x)
-        if best is None or energy < best[1]:
-            best = (polished, energy)
-    assert best is not None
-    return best
+    return _best_descent(q, [x for x, _ in samples.samples])
 
 
 def _repair_to_clique(g: Graph, selected: set[int]) -> set[int]:
@@ -489,14 +593,7 @@ def solve_mc(g: Graph, solver_name: str, cfg: SolverConfig = SolverConfig()) -> 
         x, _ = sa_qubo(q, cfg)
     elif solver_name == "descent":
         rng = np.random.default_rng(cfg.seed)
-        reads = max(1, cfg.num_reads)
-        best: tuple[list[int], float] | None = None
-        for _ in range(reads):
-            start = [int(b) for b in rng.integers(0, 2, size=g.num_vertices)]
-            cand, energy = local_search_descent(q, start)
-            if best is None or energy < best[1]:
-                best = (cand, energy)
-        x = best[0]
+        x, _ = _best_descent(q, [rng.integers(0, 2, size=g.num_vertices) for _ in range(cfg.num_reads)])
     else:  # sampler
         x, _ = sampler_solve(q, mock_sampler, cfg)
     selected = _repair_to_clique(g, {i for i, b in enumerate(x) if b})

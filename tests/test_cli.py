@@ -1,6 +1,8 @@
 import gc
 import warnings
 
+import pytest
+
 from cliquesplit import parse_dimacs, parse_qubo
 from cliquesplit.cli import main
 
@@ -115,6 +117,24 @@ class TestSolve:
         code, out, _ = run_cli(["solve", str(src), "--solver", "sa-qubo", "--seed", "2"], capsys)
         assert code == 0
         assert "energy=-4" in out
+
+    @pytest.mark.parametrize("reads", ["0", "-3"])
+    def test_descent_rejects_non_positive_reads(self, tmp_path, capsys, reads):
+        src = tmp_path / "in.clq"
+        src.write_text(K4_TEXT)
+        code, out, err = run_cli(["solve", str(src), "--solver", "descent", "--num-reads", reads], capsys)
+        assert code == 1
+        assert out == ""
+        assert "num_reads must be >= 1" in err
+
+    @pytest.mark.parametrize("solver", ["sa-qubo", "descent", "sampler"])
+    def test_empty_graph_energy_zero(self, tmp_path, capsys, solver):
+        src = tmp_path / "empty.clq"
+        src.write_text("p edge 0 0\n")
+        code, out, err = run_cli(["solve", str(src), "--solver", solver], capsys)
+        assert (code, err) == (0, "")
+        assert "clique_size=0" in out
+        assert "energy=0" in out
 
     def test_budget_exhaustion_is_solver_failure(self, tmp_path, capsys):
         src = tmp_path / "g.clq"

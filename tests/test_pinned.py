@@ -1,10 +1,14 @@
-"""Pinned outputs of the decomposition driver and the reductions.
+"""Pinned outputs of the decomposition driver, the reductions and the
+QUBO sampler path.
 
-The figures below were recorded before the driver, ``k_core`` and
-``reduce_graph`` were moved onto one shared reduction engine. That move
-must not change any result: the split vertex, the random draws, and so
-the subsolver calls, the reduction count and the returned vertices all
-stay the same.
+The driver and reduction figures were recorded before the driver,
+``k_core`` and ``reduce_graph`` were moved onto one shared reduction
+engine. That move must not change any result: the split vertex, the
+random draws, and so the subsolver calls, the reduction count and the
+returned vertices all stay the same. The sampler and descent figures were
+recorded while each ``mock_sampler`` read was still its own ``sa_qubo``
+run and each sample was polished by its own descent; annealing the reads
+in lockstep and polishing them in one batch must not change them.
 """
 
 import pytest
@@ -17,7 +21,11 @@ from cliquesplit import (
     contract_random_edges,
     gnp_random,
     k_core,
+    mc_to_qubo,
+    mock_sampler,
     reduce_graph,
+    sampler_solve,
+    solve_mc,
     split_solve,
 )
 
@@ -48,6 +56,35 @@ def test_split_solve_sampler_pinned():
         vertex_limit=12, seed=3, solver="sampler", solver_config=SolverConfig(seed=3, num_reads=20)
     )
     assert fingerprint(split_solve(g, cfg)) == (5, 3, 11, [101, 105, 106, 107, 111])
+
+
+POLISH_GRAPHS = {
+    "gnp-30-0.5-1": lambda: gnp_random(30, 0.5, 1),
+    "gnp-40-0.3-2": lambda: gnp_random(40, 0.3, 2),
+    "cm-2-2-4-6-5": lambda: contract_random_edges(chimera_graph(ChimeraSpec(2, 2, 4)), 6, 5)[0],
+}
+
+# (graph, solver seed) -> (selected variables, energy) of sampler_solve with
+# mock_sampler, and (size, vertices) of the descent backend, both at 25 reads.
+POLISH_PINS = {
+    ("gnp-30-0.5-1", 3): (([1, 4, 6, 10, 13, 14, 23], -7.0), (7, [1, 4, 6, 10, 13, 14, 21])),
+    ("gnp-30-0.5-1", 11): (([1, 4, 6, 13, 14, 23, 28], -7.0), (7, [1, 4, 6, 10, 13, 14, 21])),
+    ("gnp-40-0.3-2", 3): (([6, 18, 26, 35], -4.0), (5, [0, 17, 26, 30, 35])),
+    ("gnp-40-0.3-2", 11): (([0, 17, 26, 30, 35], -5.0), (5, [0, 17, 26, 30, 35])),
+    ("cm-2-2-4-6-5", 3): (([21, 22, 24, 25], -4.0), (4, [21, 25, 26, 27])),
+    ("cm-2-2-4-6-5", 11): (([19, 22, 23, 24], -4.0), (4, [24, 25, 27, 30])),
+}
+
+
+@pytest.mark.parametrize("key", sorted(POLISH_PINS))
+def test_sampler_and_descent_pinned(key):
+    name, seed = key
+    g = POLISH_GRAPHS[name]()
+    cfg = SolverConfig(seed=seed, num_reads=25)
+    x, energy = sampler_solve(mc_to_qubo(g), mock_sampler, cfg)
+    descent = solve_mc(g, "descent", cfg)
+    got = (([i for i, b in enumerate(x) if b], energy), (descent.size, sorted(descent.vertices)))
+    assert got == POLISH_PINS[key]
 
 
 # G(18, 0.35) graph seed -> (removed vertices, removed edges, surviving labels)

@@ -1,8 +1,13 @@
 import itertools
+import math
 import random
 
+import hypothesis.strategies as st
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from cliquesplit import solvers
 from cliquesplit import (
     BudgetExceededError,
     Graph,
@@ -24,8 +29,9 @@ from cliquesplit import (
     solve_mc,
 )
 from cliquesplit.qubo import Qubo
+from cliquesplit.solvers import MOCK_SAMPLER_BUDGET
 
-from conftest import brute_max_clique, complete_graph, path_graph
+from conftest import brute_max_clique, complete_graph, path_graph, random_graphs
 
 
 def petersen():
@@ -33,6 +39,13 @@ def petersen():
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     return Graph(10, outer + inner + spokes)
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("reads", [0, -3])
+    def test_num_reads_must_be_positive(self, reads):
+        with pytest.raises(ValueError, match="num_reads"):
+            SolverConfig(num_reads=reads)
 
 
 class TestExactMaxClique:
@@ -209,6 +222,79 @@ class TestSampler:
         q = mc_to_qubo(path_graph(3))
         with pytest.raises(ValueError):
             sampler_solve(q, mock_sampler, SolverConfig(num_reads=0))
+
+    @settings(max_examples=60)
+    @given(
+        n=st.integers(1, 20),
+        p=st.floats(0.0, 1.0),
+        graph_seed=st.integers(0, 2**32),
+        reads=st.integers(0, 6),
+        seed=st.integers(0, 2**40),
+    )
+    def test_mock_sampler_equals_per_read_sa_qubo(self, n, p, graph_seed, reads, seed):
+        q = mc_to_qubo(gnp_random(n, p, graph_seed))
+        per_read = [
+            sa_qubo(q, SolverConfig(seed=seed * 1_000_003 + i, budget=MOCK_SAMPLER_BUDGET, alpha=0.98))[0]
+            for i in range(reads)
+        ]
+        assert mock_sampler(q, reads, seed) == SampleSet.from_assignments(q, per_read)
+
+    def test_undecided_reads_rerun_by_sa_qubo(self, monkeypatch):
+        q = mc_to_qubo(gnp_random(15, 0.5, 2))
+        expected = mock_sampler(q, 5, 7)
+        seeds = []
+        real_sa_qubo = solvers.sa_qubo
+
+        def recording_sa_qubo(qq, cfg):
+            seeds.append(cfg.seed)
+            return real_sa_qubo(qq, cfg)
+
+        def undecided_everywhere(uniforms, temperature):
+            return np.full_like(uniforms, -np.inf), np.full_like(uniforms, np.inf)
+
+        monkeypatch.setattr(solvers, "_acceptance_bands", undecided_everywhere)
+        monkeypatch.setattr(solvers, "sa_qubo", recording_sa_qubo)
+        assert mock_sampler(q, 5, 7) == expected
+        assert seeds == [7 * 1_000_003 + r for r in range(5)]
+
+    @given(
+        delta=st.floats(-60.0, 60.0),
+        u=st.floats(0.0, 1.0, exclude_max=True),
+        temperature=st.floats(1e-14, 1e3),
+        nudge=st.integers(-30, 30),
+    )
+    def test_acceptance_bands_bracket_the_metropolis_test(self, delta, u, temperature, nudge):
+        lo, hi = solvers._acceptance_bands(np.array([u]), np.array([temperature]))
+        if u > 0 and nudge:  # an energy change next to the threshold
+            delta = max(temperature, 1e-12) * -math.log(u) * (1 + nudge * 1e-10)
+        accepts = delta <= 0 or u < math.exp(-delta / max(temperature, 1e-12))
+        if delta < lo[0]:
+            assert accepts
+        if delta >= hi[0]:
+            assert not accepts
+
+    @pytest.mark.parametrize(
+        "bad", [[(0, 1)], [(0, 1, 2)], [(1, 0, 0, 1)], [(0, 1, 0), (0, 1)], [(0, 1, 0), (1, 2, 1)]]
+    )
+    def test_malformed_samples_rejected(self, bad):
+        def handing_back(qq, num_reads, seed):
+            return SampleSet(tuple((x, 0.0) for x in bad))
+
+        with pytest.raises(ValueError):
+            sampler_solve(mc_to_qubo(path_graph(3)), handing_back, SolverConfig(num_reads=len(bad)))
+
+    @given(g=random_graphs, data=st.data())
+    def test_batched_polish_keeps_first_best_single_descent(self, g, data):
+        q = mc_to_qubo(g)
+        bits = st.lists(st.integers(0, 1), min_size=g.num_vertices, max_size=g.num_vertices)
+        starts = data.draw(st.lists(bits, min_size=1, max_size=8))
+
+        def handing_back(qq, num_reads, seed):
+            return SampleSet(tuple((tuple(x), 0.0) for x in starts))
+
+        singles = [local_search_descent(q, x) for x in starts]
+        first_best = min(singles, key=lambda pair: pair[1])
+        assert sampler_solve(q, handing_back, SolverConfig(num_reads=len(starts))) == first_best
 
     def test_empty_sample_set_is_failure(self):
         from cliquesplit import SolverError
