@@ -16,7 +16,7 @@ import csv
 import statistics
 import sys
 
-from cliquesplit import clique_capacity, gnp_random, SplitConfig, split_solve
+from cliquesplit import clique_capacity, gnp_random, sweep_vertex_limit
 
 BASE_QUBITS = 1152
 CURRENT_USABLE_LIMIT = 45  # defect-adjusted capacity of the base machine
@@ -42,15 +42,10 @@ def main() -> int:
     writer_target = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     writer = csv.writer(writer_target, lineterminator="\n")
     writer.writerow(["qubits", "vertex_limit", "median_solver_calls", "modeled_total_s"])
-    for qubits, limit in ladder:
-        if limit >= args.n:
-            counts = [1] * args.seeds
-        else:
-            counts = [
-                split_solve(g, SplitConfig(vertex_limit=limit, seed=s)).stats.subproblems_solved
-                for s in range(args.seeds)
-            ]
-        median_calls = statistics.median(counts)
+    limits = [limit for _, limit in ladder]
+    per_seed = [sweep_vertex_limit(g, limits, seed=s) for s in range(args.seeds)]
+    for k, (qubits, limit) in enumerate(ladder):
+        median_calls = statistics.median(table[k][1] for table in per_seed)
         writer.writerow([qubits, limit, median_calls, args.per_call_seconds * median_calls])
         print(f"qubits={qubits}: limit={limit}, median calls={median_calls}", file=sys.stderr)
     if args.out:

@@ -220,7 +220,7 @@ def brute_force_min(q: Qubo) -> tuple[list[int], float]:
 
 
 def parse_qubo(text: str) -> Qubo:
-    """Parse the plain-text format: ``N <int>``, ``L i coeff``, ``Q i j coeff``."""
+    """Parse the plain-text format: ``N <int>``, ``L i coeff``, ``Q i j coeff``, each term once."""
     n: int | None = None
     linear: dict[int, float] = {}
     quadratic: dict[tuple[int, int], float] = {}
@@ -235,9 +235,15 @@ def parse_qubo(text: str) -> Qubo:
                     raise ValueError("duplicate N line")
                 n = int(parts[1])
             elif parts[0] == "L" and len(parts) == 3:
-                linear[int(parts[1])] = float(parts[2])
+                i = int(parts[1])
+                if i in linear:
+                    raise ValueError(f"duplicate linear index {i}")
+                linear[i] = float(parts[2])
             elif parts[0] == "Q" and len(parts) == 4:
-                quadratic[(int(parts[1]), int(parts[2]))] = float(parts[3])
+                i, j = sorted((int(parts[1]), int(parts[2])))
+                if (i, j) in quadratic:
+                    raise ValueError(f"duplicate quadratic key ({i}, {j})")
+                quadratic[(i, j)] = float(parts[3])
             else:
                 raise ValueError(f"unrecognized line {line[:30]!r}")
         except ValueError as exc:

@@ -16,7 +16,10 @@ Backends:
   from its own seed; the samples are then polished in one batched descent
   before the best is kept.
 
-Every stochastic backend is bit-reproducible given its seed and budget.
+Every annealer accepts a move when its energy change is below
+``max(T_t, 1e-12) * -ln(u_t)``, for its uniform draw ``u_t`` and geometric
+cooling T_{t+1} = alpha * T_t (``_metropolis_cuts``). Every stochastic
+backend is bit-reproducible given its seed and budget.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ SA_CLIQUE_DEFAULT_BUDGET = 30_000
 SA_QUBO_DEFAULT_BUDGET = 20_000
 MOCK_SAMPLER_BUDGET = 200
 MOCK_SAMPLER_ALPHA = 0.98
+SA_CLIQUE_RESTARTS = 3  # sa_clique attempts per size in the sa-clique binary search
 
 
 class SolverError(Exception):
@@ -67,23 +71,19 @@ class SolverConfig:
     T_{n+1} = alpha * T_n, starting from a temperature calibrated so that
     roughly half of the uphill probe moves would be accepted.
     ``num_reads`` is the sample count for the sampler pipeline and the
-    restart count for descent; ``restarts`` is the attempts-per-size limit
-    of the sa-clique binary search predicate.
+    restart count for descent.
     """
 
     seed: int = 0
     budget: int | None = None
     alpha: float = 0.9996
     num_reads: int = 500
-    restarts: int = 3
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if self.budget is not None and self.budget < 1:
             raise ValueError("budget must be positive")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
         if self.num_reads < 1:
             raise ValueError("num_reads must be >= 1")
 
@@ -212,12 +212,29 @@ def _calibrate_temperature(deltas: Sequence[float]) -> float:
     return float(uphill.mean()) / math.log(2.0)
 
 
+def _metropolis_cuts(
+    temperature: float | np.ndarray, alpha: float, uniforms: np.ndarray
+) -> tuple[np.ndarray, float | np.ndarray]:
+    """Thresholds of a batch of moves, and the temperature after it: move t
+    (the last axis of ``uniforms``) is accepted when its energy change is
+    below ``max(T_t, 1e-12) * -ln(u_t)``, which is ``delta <= 0 or u_t <
+    exp(-delta / max(T_t, 1e-12))`` up to rounding. T_0 is ``temperature``
+    (a scalar or one per row) and T_{t+1} = alpha * T_t is multiplied in
+    sequence, so chained batches give the thresholds of one batch."""
+    factors = np.full(uniforms.shape, alpha)
+    factors[..., 0] = temperature
+    temperatures = np.multiply.accumulate(factors, axis=-1)
+    with np.errstate(divide="ignore"):
+        cuts = np.maximum(temperatures, 1e-12) * -np.log(uniforms)
+    return cuts, temperatures[..., -1] * alpha
+
+
 def sa_clique(g: Graph, m: int, cfg: SolverConfig = SolverConfig()) -> set[int] | None:
     """Hunt for a clique of exactly ``m`` vertices by annealing a size-m subset.
 
     The state is an m-vertex subset, its energy the number of non-adjacent
     pairs inside it; a move swaps one member for one outsider and is
-    accepted by the Metropolis rule under geometric cooling. Returns the
+    accepted by the Metropolis rule of ``_metropolis_cuts``. Returns the
     subset (a verified clique) when the energy reaches zero, or None at
     budget end. Never returns a false positive.
     """
@@ -255,21 +272,16 @@ def sa_clique(g: Graph, m: int, cfg: SolverConfig = SolverConfig()) -> set[int] 
         probes.append(float(cnt[w] - cnt[u] - int(nonadj[u, w])))
     temperature = _calibrate_temperature(probes)
 
-    alpha = cfg.alpha
-    batch = 4096
-    step = 0
-    while step < budget:
-        k = min(batch, budget - step)
+    for step in range(0, budget, 4096):
+        k = min(4096, budget - step)
         member_idx = rng.integers(0, len(members), size=k)
         outside_idx = rng.integers(0, len(outside), size=k)
-        uniforms = rng.random(k)
-        for t in range(k):
-            i = member_idx[t]
-            o = outside_idx[t]
+        cuts, temperature = _metropolis_cuts(temperature, cfg.alpha, rng.random(k))
+        for i, o, cut in zip(member_idx.tolist(), outside_idx.tolist(), cuts.tolist()):
             u = members[i]
             w = outside[o]
             delta = int(cnt[w]) - int(cnt[u]) - int(nonadj[u, w])
-            if delta <= 0 or uniforms[t] < math.exp(-delta / max(temperature, 1e-12)):
+            if delta < cut:
                 members[i] = w
                 outside[o] = u
                 cnt += nonadj_counts[w]
@@ -277,8 +289,6 @@ def sa_clique(g: Graph, m: int, cfg: SolverConfig = SolverConfig()) -> set[int] 
                 energy += delta
                 if energy == 0:
                     return verified(members)
-            temperature *= alpha
-        step += k
     return None
 
 
@@ -319,7 +329,8 @@ def _anneal_draws(seed: int, n: int, budget: int) -> tuple[np.ndarray, np.ndarra
 
 
 def sa_qubo(q: Qubo, cfg: SolverConfig = SolverConfig()) -> tuple[list[int], float]:
-    """Single-bit-flip Metropolis annealing from a uniform random start.
+    """Single-bit-flip Metropolis annealing from a uniform random start,
+    each move decided by the rule of ``_metropolis_cuts``.
 
     Returns the best assignment seen and its energy (consistent with
     ``evaluate``).
@@ -337,12 +348,10 @@ def sa_qubo(q: Qubo, cfg: SolverConfig = SolverConfig()) -> tuple[list[int], flo
     best_x = list(x)
 
     probes = [gains[i] if x[i] == 0 else -gains[i] for i in probe_idx]
-    temperature = _calibrate_temperature(probes)
-
-    alpha = cfg.alpha
-    for i, u in zip(flip_idx.tolist(), uniforms.tolist()):
+    cuts, _ = _metropolis_cuts(_calibrate_temperature(probes), cfg.alpha, uniforms)
+    for i, cut in zip(flip_idx.tolist(), cuts.tolist()):
         delta = gains[i] if x[i] == 0 else -gains[i]
-        if delta <= 0 or u < math.exp(-delta / max(temperature, 1e-12)):
+        if delta < cut:
             sign = 1 if x[i] == 0 else -1
             x[i] ^= 1
             for j, a in nbrs[i]:
@@ -351,7 +360,6 @@ def sa_qubo(q: Qubo, cfg: SolverConfig = SolverConfig()) -> tuple[list[int], flo
             if energy < best_energy:
                 best_energy = energy
                 best_x = list(x)
-        temperature *= alpha
     return best_x, best_energy
 
 
@@ -372,19 +380,6 @@ def _energies(linear: np.ndarray, bits: np.ndarray, gains: np.ndarray) -> np.nda
     """Energy of each row of ``bits`` whose gains are ``linear + bits @ coupling``;
     exact when the coefficients are integers."""
     return 0.5 * ((linear + gains) * bits).sum(axis=1)
-
-
-def _acceptance_bands(uniforms: np.ndarray, temperature: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds ``lo`` and ``hi`` on a flip's energy change: below ``lo``
-    the Metropolis test of ``sa_qubo``, ``delta <= 0 or u < math.exp(-delta
-    / max(T, 1e-12))``, surely accepts, and from ``hi`` up it surely
-    rejects. The band between is ~1e6 times wider than the rounding of
-    either form of the test; a uniform of 0 gives ``lo`` NaN."""
-    scale = np.maximum(temperature, 1e-12)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cut = scale * -np.log(uniforms)
-        slack = 1e-9 * (cut + scale)
-        return cut - slack, cut + slack
 
 
 def _best_descent(q: Qubo, starts: Sequence[Sequence[int]]) -> tuple[list[int], float]:
@@ -442,13 +437,13 @@ def mock_sampler(q: Qubo, num_reads: int, seed: int) -> SampleSet:
     Read ``r`` draws from its own ``default_rng(seed * 1_000_003 + r)``
     exactly what ``sa_qubo`` draws at budget ``MOCK_SAMPLER_BUDGET``, and
     keeps its own calibrated temperature, cooled by ``MOCK_SAMPLER_ALPHA``
-    per move, so each sample is that ``sa_qubo`` run's best assignment.
-    The QUBO is set up once per call, and each move of all reads is one
-    step on a reads x n state. The energy trajectories, and from them each
-    read's best state, are computed once the moves are done. A read with a
-    move too close to the acceptance threshold to decide without
-    ``math.exp`` is run again by ``sa_qubo`` itself. The energies are exact
-    when the coefficients are integers, as in the clique QUBO.
+    per move. Every move is decided by the rule of ``_metropolis_cuts``
+    that ``sa_qubo`` uses, so when the coefficients are integers, as in the
+    clique QUBO, each sample and its energy are exactly that ``sa_qubo``
+    run's best assignment and energy. The QUBO is set up once per call,
+    and each move of all reads is one step on a reads x n state. The
+    energy trajectories, and from them each read's best state, are
+    computed once the moves are done.
     """
     reads = max(num_reads, 0)
     n = q.num_variables
@@ -462,9 +457,7 @@ def mock_sampler(q: Qubo, num_reads: int, seed: int) -> SampleSet:
     signs = 1.0 - 2.0 * starts  # a flip's energy change is gain * sign
     energy = _energies(linear, starts, gains)
     first = [_calibrate_temperature(c[p]) for c, p in zip(gains * signs, probes)]
-    cooling = np.full((budget - 1, reads), MOCK_SAMPLER_ALPHA)
-    temperature = np.multiply.accumulate(np.vstack([first, cooling]), axis=0)
-    lo, hi = _acceptance_bands(uniforms.T, temperature)
+    cuts = _metropolis_cuts(np.array(first), MOCK_SAMPLER_ALPHA, uniforms)[0].T
 
     cells = flips.T + np.arange(reads) * n  # move t of read r flips cell r*n + i
     flat_gains, flat_signs = gains.reshape(-1), signs.reshape(-1)
@@ -472,21 +465,18 @@ def mock_sampler(q: Qubo, num_reads: int, seed: int) -> SampleSet:
     for t, cell in enumerate(cells):
         sign = flat_signs[cell]
         delta = deltas[t] = flat_gains[cell] * sign
-        live = (delta < lo[t]).nonzero()[0]
+        live = (delta < cuts[t]).nonzero()[0]
         if live.size:
             gains[live] += sign[live, None] * coupling[flips[live, t]]
             flat_signs[cell[live]] = -sign[live]
 
-    accepted = deltas < lo
+    accepted = deltas < cuts
     steps = np.where(accepted, deltas, 0.0)
     trajectory = np.cumsum(np.vstack([energy, steps]), axis=0)
     best = trajectory.argmin(axis=0)  # the first time each read reaches its lowest energy
     best_energy = trajectory[best, np.arange(reads)]
     taken = accepted & (np.arange(budget)[:, None] < best)
     best_bits = starts ^ (np.bincount(cells[taken], minlength=reads * n).reshape(reads, n) & 1)
-    for r in (~accepted & (deltas < hi)).any(axis=0).nonzero()[0]:
-        read_cfg = SolverConfig(seed=seed * 1_000_003 + r, budget=budget, alpha=MOCK_SAMPLER_ALPHA)
-        best_bits[r], best_energy[r] = sa_qubo(q, read_cfg)
     samples = sorted(zip(map(tuple, best_bits.tolist()), best_energy.tolist()), key=lambda s: s[1])
     return SampleSet(tuple(samples))
 
@@ -576,7 +566,7 @@ def solve_mc(g: Graph, solver_name: str, cfg: SolverConfig = SolverConfig()) -> 
         witnesses: dict[int, set[int]] = {}
 
         def has_clique_of_size(m: int) -> bool:
-            for attempt in range(cfg.restarts):
+            for attempt in range(SA_CLIQUE_RESTARTS):
                 sub_seed = (cfg.seed * 1_000_003 + m) * 97 + attempt
                 found = sa_clique(g, m, replace(cfg, seed=sub_seed))
                 if found is not None:

@@ -38,6 +38,7 @@ from cliquesplit import (
     two_coloring,
     vertex_split,
 )
+from cliquesplit.solvers import SA_CLIQUE_RESTARTS
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -242,7 +243,7 @@ def test_10_stochastic_solver_quality():
         cfg = SolverConfig(seed=seed, alpha=0.9996)
 
         def found(m, g=g, cfg=cfg):
-            for attempt in range(cfg.restarts):
+            for attempt in range(SA_CLIQUE_RESTARTS):
                 sub_seed = (cfg.seed * 1_000_003 + m) * 97 + attempt
                 if sa_clique(g, m, SolverConfig(seed=sub_seed, alpha=cfg.alpha)) is not None:
                     return True

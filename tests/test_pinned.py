@@ -8,8 +8,13 @@ random draws, and so the subsolver calls, the reduction count and the
 returned vertices all stay the same. The sampler and descent figures were
 recorded while each ``mock_sampler`` read was still its own ``sa_qubo``
 run and each sample was polished by its own descent; annealing the reads
-in lockstep and polishing them in one batch must not change them.
+in lockstep and polishing them in one batch must not change them. The
+``sa_qubo`` and ``sa_clique`` figures were recorded while each move still
+called ``math.exp``; deciding every move by comparing its energy change
+with a precomputed threshold ``T * -ln(u)`` must not change them.
 """
+
+import random
 
 import pytest
 
@@ -24,10 +29,13 @@ from cliquesplit import (
     mc_to_qubo,
     mock_sampler,
     reduce_graph,
+    sa_clique,
+    sa_qubo,
     sampler_solve,
     solve_mc,
     split_solve,
 )
+from cliquesplit.qubo import Qubo
 
 # (n, p, graph seed, vertex_limit) -> (size, subproblems_solved, reductions, vertices)
 SPLIT_PINS = {
@@ -58,10 +66,12 @@ def test_split_solve_sampler_pinned():
     assert fingerprint(split_solve(g, cfg)) == (5, 3, 11, [101, 105, 106, 107, 111])
 
 
-POLISH_GRAPHS = {
+GRAPHS = {
     "gnp-30-0.5-1": lambda: gnp_random(30, 0.5, 1),
     "gnp-40-0.3-2": lambda: gnp_random(40, 0.3, 2),
     "cm-2-2-4-6-5": lambda: contract_random_edges(chimera_graph(ChimeraSpec(2, 2, 4)), 6, 5)[0],
+    "gnp-45-0.5-0": lambda: gnp_random(45, 0.5, 0),
+    "gnp-45-0.5-2": lambda: gnp_random(45, 0.5, 2),
 }
 
 # (graph, solver seed) -> (selected variables, energy) of sampler_solve with
@@ -79,12 +89,80 @@ POLISH_PINS = {
 @pytest.mark.parametrize("key", sorted(POLISH_PINS))
 def test_sampler_and_descent_pinned(key):
     name, seed = key
-    g = POLISH_GRAPHS[name]()
+    g = GRAPHS[name]()
     cfg = SolverConfig(seed=seed, num_reads=25)
     x, energy = sampler_solve(mc_to_qubo(g), mock_sampler, cfg)
     descent = solve_mc(g, "descent", cfg)
     got = (([i for i, b in enumerate(x) if b], energy), (descent.size, sorted(descent.vertices)))
     assert got == POLISH_PINS[key]
+
+
+def float_qubo():
+    rng = random.Random(7)
+    linear = {i: round(rng.uniform(-2, 2), 3) for i in range(12)}
+    quadratic = {
+        (i, j): round(rng.uniform(-1.5, 1.5), 3)
+        for i in range(12)
+        for j in range(i + 1, 12)
+        if rng.random() < 0.4
+    }
+    return Qubo(12, linear, quadratic)
+
+
+# (QUBO, solver seed) -> (selected variables, energy) of sa_qubo at its
+# default budget; "float-12" has non-integer coefficients.
+SA_QUBO_PINS = {
+    ("gnp-30-0.5-1", 3): ([1, 4, 6, 10, 13, 14, 21], -7.0),
+    ("gnp-30-0.5-1", 11): ([1, 4, 6, 10, 13, 14, 23], -7.0),
+    ("gnp-40-0.3-2", 3): ([0, 17, 26, 30, 35], -5.0),
+    ("cm-2-2-4-6-5", 11): ([21, 22, 24, 25], -4.0),
+    ("float-12", 3): ([0, 1, 3, 5, 6, 8, 9, 10, 11], -17.597000000000012),
+    ("float-12", 11): ([0, 1, 3, 5, 6, 8, 9, 10, 11], -17.597000000000016),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SA_QUBO_PINS))
+def test_sa_qubo_pinned(key):
+    name, seed = key
+    q = float_qubo() if name == "float-12" else mc_to_qubo(GRAPHS[name]())
+    x, energy = sa_qubo(q, SolverConfig(seed=seed))
+    assert ([i for i, b in enumerate(x) if b], energy) == SA_QUBO_PINS[key]
+
+
+# (graph, target size, solver seed) -> sorted clique or None (a miss) of
+# sa_clique at its default budget. The gnp-45 hits come after the first
+# 4096-move batch; gnp-45-0.5-2 at seed 3 misses a clique that exists.
+SA_CLIQUE_PINS = {
+    ("gnp-30-0.5-1", 6, 3): [1, 10, 13, 14, 16, 21],
+    ("gnp-30-0.5-1", 7, 3): [1, 4, 6, 10, 13, 14, 23],
+    ("gnp-30-0.5-1", 8, 3): None,
+    ("gnp-45-0.5-0", 6, 3): [4, 5, 14, 22, 24, 26],
+    ("gnp-45-0.5-2", 8, 2): [19, 25, 28, 29, 33, 37, 41, 44],
+    ("gnp-45-0.5-2", 8, 3): None,
+    ("cm-2-2-4-6-5", 4, 3): [19, 22, 23, 24],
+    ("cm-2-2-4-6-5", 5, 3): None,
+}
+
+
+@pytest.mark.parametrize("key", sorted(SA_CLIQUE_PINS))
+def test_sa_clique_pinned(key):
+    name, m, seed = key
+    found = sa_clique(GRAPHS[name](), m, SolverConfig(seed=seed))
+    assert (None if found is None else sorted(found)) == SA_CLIQUE_PINS[key]
+
+
+# graph -> (size, vertices) of the sa-clique backend at seed 3.
+SA_CLIQUE_BACKEND_PINS = {
+    "gnp-30-0.5-1": (7, [1, 4, 6, 13, 14, 23, 28]),
+    "gnp-40-0.3-2": (5, [0, 17, 26, 30, 35]),
+    "cm-2-2-4-6-5": (4, [24, 25, 27, 30]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SA_CLIQUE_BACKEND_PINS))
+def test_sa_clique_backend_pinned(name):
+    result = solve_mc(GRAPHS[name](), "sa-clique", SolverConfig(seed=3))
+    assert (result.size, sorted(result.vertices)) == SA_CLIQUE_BACKEND_PINS[name]
 
 
 # G(18, 0.35) graph seed -> (removed vertices, removed edges, surviving labels)

@@ -225,3 +225,17 @@ class TestQuboText:
             parse_qubo("L x 1\n")
         with pytest.raises(ValueError, match="missing N"):
             parse_qubo("")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("N 2\nQ 0 1 2\nQ 0 1 3\n", 3),
+            ("N 2\nQ 0 1 2\nQ 1 0 3\n", 3),
+            ("N 2\nL 0 1\nQ 0 1 2\nL 0 -1\n", 4),
+            ("N 2\nL 1 0\nL 1 0\n", 3),
+        ],
+        ids=["same-pair", "swapped-pair", "linear", "zero-linear"],
+    )
+    def test_repeated_terms_rejected(self, text, line):
+        with pytest.raises(ValueError, match=f"line {line}: duplicate"):
+            parse_qubo(text)

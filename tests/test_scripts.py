@@ -1,0 +1,42 @@
+"""The experiment scripts run end to end on tiny inputs and write CSV."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+RUN_HEADER = (
+    "experiment,graph,n,m,solver,vertex_limit,per_call_time_model_s,seed,repetition,"
+    "clique_size,solver_calls,split_time_wall_s,modeled_total_wall_s"
+)
+
+
+@pytest.mark.parametrize(
+    "script, args, header",
+    [
+        ("runtime_scaling.py", "--sizes 60,90 --avg-degree 6 --seeds 1", RUN_HEADER),
+        ("density_sweep.py", "--n 40 --p-values 0.1,0.5 --seeds 1 --vertex-limit 15", RUN_HEADER),
+        (
+            "future_machines.py",
+            "--n 60 --p 0.3 --seeds 2 --doublings 1",
+            "qubits,vertex_limit,median_solver_calls,modeled_total_s",
+        ),
+    ],
+)
+def test_script_writes_csv(script, args, header):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args.split()],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == header
+    assert len(lines) > 1

@@ -102,6 +102,46 @@ class TestGreedyClique:
             assert len(greedy_clique(g)) <= exact_max_clique(g).size
 
 
+class TestMetropolisCuts:
+    @given(
+        temperature=st.floats(1e-14, 1e3),
+        alpha=st.floats(0.5, 0.9999),
+        uniforms=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=2, max_size=40),
+        data=st.data(),
+    )
+    def test_chained_batches_equal_one_batch(self, temperature, alpha, uniforms, data):
+        u = np.array(uniforms)
+        split = data.draw(st.integers(1, len(uniforms) - 1))
+        whole, after = solvers._metropolis_cuts(temperature, alpha, u)
+        head, middle = solvers._metropolis_cuts(temperature, alpha, u[:split])
+        tail, end = solvers._metropolis_cuts(middle, alpha, u[split:])
+        assert np.concatenate([head, tail]).tolist() == whole.tolist()
+        cooled = temperature
+        for _ in uniforms:
+            cooled *= alpha
+        assert end == after == cooled
+        # one row per start temperature, as mock_sampler runs its reads
+        rows, row_after = solvers._metropolis_cuts(np.array([temperature, middle]), alpha, np.vstack([u, u]))
+        again, again_after = solvers._metropolis_cuts(middle, alpha, u)
+        assert rows.tolist() == [whole.tolist(), again.tolist()]
+        assert row_after.tolist() == [after, again_after]
+
+    @given(
+        delta=st.floats(-60.0, 60.0),
+        u=st.floats(0.0, 1.0, exclude_max=True, allow_subnormal=False),
+        temperature=st.floats(1e-14, 1e3),
+        nudge=st.integers(-30, 30),
+    )
+    def test_cut_decides_as_the_metropolis_test(self, delta, u, temperature, nudge):
+        (cut,), _ = solvers._metropolis_cuts(temperature, 0.5, np.array([u]))
+        if u > 0 and nudge:  # an energy change next to the threshold
+            delta = cut * (1 + nudge * 1e-10)
+        accepts = delta <= 0 or u < math.exp(-delta / max(temperature, 1e-12))
+        # exp(-x) near 1 resolves x only to ~1e-16, so the band also spans 1e-9 * T
+        if abs(delta - cut) > 1e-9 * (cut + max(temperature, 1e-12)):
+            assert (delta < cut) == accepts
+
+
 class TestSaClique:
     def test_immediate_success_on_complete_graph(self, k5):
         assert sa_clique(k5, 5, SolverConfig(seed=1)) == set(range(5))
@@ -238,40 +278,6 @@ class TestSampler:
             for i in range(reads)
         ]
         assert mock_sampler(q, reads, seed) == SampleSet.from_assignments(q, per_read)
-
-    def test_undecided_reads_rerun_by_sa_qubo(self, monkeypatch):
-        q = mc_to_qubo(gnp_random(15, 0.5, 2))
-        expected = mock_sampler(q, 5, 7)
-        seeds = []
-        real_sa_qubo = solvers.sa_qubo
-
-        def recording_sa_qubo(qq, cfg):
-            seeds.append(cfg.seed)
-            return real_sa_qubo(qq, cfg)
-
-        def undecided_everywhere(uniforms, temperature):
-            return np.full_like(uniforms, -np.inf), np.full_like(uniforms, np.inf)
-
-        monkeypatch.setattr(solvers, "_acceptance_bands", undecided_everywhere)
-        monkeypatch.setattr(solvers, "sa_qubo", recording_sa_qubo)
-        assert mock_sampler(q, 5, 7) == expected
-        assert seeds == [7 * 1_000_003 + r for r in range(5)]
-
-    @given(
-        delta=st.floats(-60.0, 60.0),
-        u=st.floats(0.0, 1.0, exclude_max=True),
-        temperature=st.floats(1e-14, 1e3),
-        nudge=st.integers(-30, 30),
-    )
-    def test_acceptance_bands_bracket_the_metropolis_test(self, delta, u, temperature, nudge):
-        lo, hi = solvers._acceptance_bands(np.array([u]), np.array([temperature]))
-        if u > 0 and nudge:  # an energy change next to the threshold
-            delta = max(temperature, 1e-12) * -math.log(u) * (1 + nudge * 1e-10)
-        accepts = delta <= 0 or u < math.exp(-delta / max(temperature, 1e-12))
-        if delta < lo[0]:
-            assert accepts
-        if delta >= hi[0]:
-            assert not accepts
 
     @pytest.mark.parametrize(
         "bad", [[(0, 1)], [(0, 1, 2)], [(1, 0, 0, 1)], [(0, 1, 0), (0, 1)], [(0, 1, 0), (1, 2, 1)]]
