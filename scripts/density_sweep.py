@@ -52,7 +52,7 @@ def main() -> int:
     xs = np.array(p_values)
     slope, intercept = np.polyfit(xs, logs, 1)
     residual = logs - (slope * xs + intercept)
-    r2 = 1.0 - float(np.sum(residual**2) / np.sum((logs - logs.mean()) ** 2))
+    r2 = 1.0 - float(np.sum(residual**2) / max(np.sum((logs - logs.mean()) ** 2), 1e-12))
     print(f"log-linear fit: slope={slope:.2f} per unit p, R^2={r2:.3f}", file=sys.stderr)
 
     csv_text = emit_csv(all_rows)

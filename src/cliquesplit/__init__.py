@@ -71,7 +71,6 @@ from .solvers import (
 )
 from .splitting import (
     SplitConfig,
-    SubproblemQueue,
     split_solve,
     sweep_vertex_limit,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "SolverConfig",
     "SolverError",
     "SplitConfig",
-    "SubproblemQueue",
     "SubproblemSolveError",
     "apply_defects",
     "assignment_to_clique",

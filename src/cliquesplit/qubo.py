@@ -220,10 +220,15 @@ def brute_force_min(q: Qubo) -> tuple[list[int], float]:
 
 
 def parse_qubo(text: str) -> Qubo:
-    """Parse the plain-text format: ``N <int>``, ``L i coeff``, ``Q i j coeff``, each term once."""
+    """Parse the plain-text format: ``N <int>``, ``L i coeff``, ``Q i j coeff``, each term once.
+
+    The ``N`` line may come anywhere; an index outside [0, N) is reported
+    with the line of its term once the whole text is read.
+    """
     n: int | None = None
     linear: dict[int, float] = {}
     quadratic: dict[tuple[int, int], float] = {}
+    term_line: dict[int | tuple[int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -234,22 +239,34 @@ def parse_qubo(text: str) -> Qubo:
                 if n is not None:
                     raise ValueError("duplicate N line")
                 n = int(parts[1])
+                if n < 0:
+                    raise ValueError("num_variables must be non-negative")
             elif parts[0] == "L" and len(parts) == 3:
                 i = int(parts[1])
                 if i in linear:
                     raise ValueError(f"duplicate linear index {i}")
                 linear[i] = float(parts[2])
+                term_line[i] = lineno
             elif parts[0] == "Q" and len(parts) == 4:
                 i, j = sorted((int(parts[1]), int(parts[2])))
+                if i == j:
+                    raise ValueError(f"diagonal quadratic key ({i}, {j}); fold into linear")
                 if (i, j) in quadratic:
                     raise ValueError(f"duplicate quadratic key ({i}, {j})")
                 quadratic[(i, j)] = float(parts[3])
+                term_line[(i, j)] = lineno
             else:
                 raise ValueError(f"unrecognized line {line[:30]!r}")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if n is None:
         raise ValueError("missing N line")
+    for i in linear:
+        if not 0 <= i < n:
+            raise ValueError(f"line {term_line[i]}: linear index {i} out of range")
+    for i, j in quadratic:
+        if not (0 <= i and j < n):
+            raise ValueError(f"line {term_line[i, j]}: quadratic key ({i}, {j}) out of range")
     return Qubo(n, linear, quadratic)
 
 

@@ -1,10 +1,17 @@
 """Worklist driver decomposing maximum clique into bounded-size solves.
 
 The pipeline: extract the k-core at the incumbent clique size, CH-partition
-it, then repeatedly pop the largest queued subgraph and either hand it to
-the subsolver (when it fits ``vertex_limit``) or split it at a chosen
-vertex v into the neighborhood subgraph and the remainder, reducing both
-against the current bound.
+it and queue the parts, then repeatedly pop the largest queued subgraph and
+either solve it (when it fits ``vertex_limit``) or split it at a chosen
+vertex v into the remainder and the neighborhood subgraph. Each child is
+reduced against the bound held before the split, then solved if it fits
+and queued otherwise.
+
+One driver object, ``_Driver``, owns the worklist, the incumbent, the
+random stream and the counters, and its ``solve`` is the one path to the
+subsolver: every subproblem, including a whole graph that already fits
+the limit, reaches the subsolver there, so a failure always carries its
+subproblem.
 
 Queue items carry an *anchor*: vertices adjacent to everything in the
 item (accumulated split vertices), so a clique of size k inside the item
@@ -51,41 +58,6 @@ class SplitConfig:
             raise ValueError("parts must be >= 1 when given")
 
 
-class SubproblemQueue:
-    """Size-ordered worklist plus incumbent bookkeeping.
-
-    Items stay sorted ascending by vertex count; the incumbent is always
-    a valid clique of the input graph with len == lower_bound, and
-    lower_bound never decreases.
-    """
-
-    def __init__(self, incumbent: Iterable[int]):
-        self.items: list[Subproblem] = []
-        self.incumbent: frozenset[int] = frozenset(incumbent)
-        self.lower_bound: int = len(self.incumbent)
-
-    def sorted_insert(self, item: Subproblem) -> None:
-        self.items.insert(bisect_right(self.items, item.size, key=attrgetter("size")), item)
-
-    def pop_largest(self) -> Subproblem:
-        return self.items.pop()
-
-    def update_incumbent(self, vertices: Iterable[int]) -> bool:
-        """Adopt a strictly larger clique; ties keep the first one found."""
-        candidate = frozenset(vertices)
-        if len(candidate) > self.lower_bound:
-            self.incumbent = candidate
-            self.lower_bound = len(candidate)
-            return True
-        return False
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __bool__(self) -> bool:
-        return bool(self.items)
-
-
 def _choose_split_vertex(sub: Subproblem, vertex_limit: int) -> int:
     """The maximum degree when its neighborhood fits the solver, else the
     lower median, else the minimum degree (smallest neighborhood
@@ -97,15 +69,36 @@ def _choose_split_vertex(sub: Subproblem, vertex_limit: int) -> int:
     return sub.smallest_id_of_degree(degrees[-1])
 
 
-@dataclass
-class _DriverState:
-    queue: SubproblemQueue
-    solver: Callable[[Graph, int], CliqueResult]
-    rng: random.Random
-    calls: int = 0
-    reductions: int = 0
+class _Driver:
+    """The worklist, the incumbent and the one path to the subsolver.
 
-    def solve_item(self, item: Subproblem) -> None:
+    Queued items stay sorted ascending by vertex count, ties in insertion
+    order, and the largest is popped first; no queued item is empty. The
+    incumbent is always a clique of the input with len == lower_bound; only
+    a strictly larger clique replaces it, so ties keep the first one found.
+    """
+
+    def __init__(self, cfg: SplitConfig, solver: Callable[[Graph, int], CliqueResult]):
+        self.vertex_limit = cfg.vertex_limit
+        self.solver = solver
+        self.rng = random.Random(cfg.seed)
+        self.items: list[Subproblem] = []
+        self.incumbent: frozenset[int] = frozenset()
+        self.lower_bound = 0
+        self.calls = 0
+        self.reductions = 0
+
+    def queue(self, item: Subproblem) -> None:
+        self.items.insert(bisect_right(self.items, item.size, key=attrgetter("size")), item)
+
+    def offer(self, vertices: Iterable[int]) -> None:
+        candidate = frozenset(vertices)
+        if len(candidate) > self.lower_bound:
+            self.incumbent = candidate
+            self.lower_bound = len(candidate)
+
+    def solve(self, item: Subproblem) -> None:
+        """Hand ``item`` to the subsolver and offer its clique plus the anchor."""
         subgraph = graph_from_adjacency(item.adj)
         seed = self.rng.getrandbits(63)
         self.calls += 1
@@ -117,7 +110,38 @@ class _DriverState:
                 subgraph=subgraph,
                 anchor=item.anchor,
             ) from exc
-        self.queue.update_incumbent(set(result.vertices) | item.anchor)
+        self.offer(set(result.vertices) | item.anchor)
+
+    def run(self) -> None:
+        while self.items:
+            item = self.items.pop()
+            if item.size <= self.vertex_limit:
+                self.solve(item)
+            else:
+                self.split(item)
+
+    def split(self, item: Subproblem) -> None:
+        if item.min_degree() == item.size - 1:
+            # The subgraph is a clique: no solve needed.
+            self.offer(set(item.adj) | item.anchor)
+            return
+        v = _choose_split_vertex(item, self.vertex_limit)
+        ssg_adj = item.extract_neighborhood(v)
+        item.remove_vertex(v)
+        bound = self.lower_bound
+        self.reduce_and_dispatch(item, bound, touched=list(ssg_adj))
+        # An oversize neighborhood subgraph re-enters the worklist with its
+        # anchor extended; recombination stays exact.
+        self.reduce_and_dispatch(Subproblem(ssg_adj, item.anchor | {v}), bound)
+
+    def reduce_and_dispatch(self, item: Subproblem, bound: int, touched: list[int] | None = None) -> None:
+        """Reduce ``item`` against ``bound``, then solve it if it fits, else queue it."""
+        self.reductions += 1
+        item.reduce(max(bound - len(item.anchor), 0), self.rng, touched=touched)
+        if item.size > self.vertex_limit:
+            self.queue(item)
+        elif item.size:
+            self.solve(item)
 
 
 def split_solve(
@@ -129,49 +153,34 @@ def split_solve(
 
     ``solver`` is a (subgraph, seed) -> CliqueResult callable; when omitted
     it is resolved from cfg.solver. Subgraphs handed to it never exceed
-    cfg.vertex_limit vertices. Solver failures propagate with the
-    offending subproblem attached.
+    cfg.vertex_limit vertices. Solver failures, also on a graph that fits
+    whole, raise ``SubproblemSolveError`` with the offending subproblem
+    attached.
     """
     if solver is None:
         solver = solvers.get_subsolver(cfg.solver, cfg.solver_config)
     n = g.num_vertices
     if n == 0:
         return CliqueResult(frozenset(), 0, cfg.solver)
-    rng = random.Random(cfg.seed)
-
+    driver = _Driver(cfg, solver)
     if n <= cfg.vertex_limit:
-        # Like every subproblem, the solver sees internal ids; its answer is verified.
-        unlabelled = Graph._from_adj([g.neighbors(v) for v in g.vertices()])
-        result = solver(unlabelled, rng.getrandbits(63))
-        return clique_result(g, result.vertices, cfg.solver, CliqueStats(1, 0))
-
-    queue = SubproblemQueue(solvers.greedy_clique(g))
-    state = _DriverState(queue=queue, solver=solver, rng=rng)
-    root = Subproblem.from_graph(g)
-    state.reductions += 1
-    peel_to_core(root, queue.lower_bound)
-    if root.size:
-        _enqueue_partitions(root, cfg, queue)
-    while queue:
-        item = queue.pop_largest()
-        if item.size == 0:
-            continue
-        if item.size <= cfg.vertex_limit:
-            state.solve_item(item)
-            continue
-        _split_item(item, cfg, state)
-
-    internal = sorted(queue.incumbent)
-    return clique_result(
-        g, internal, cfg.solver, CliqueStats(subproblems_solved=state.calls, reductions=state.reductions)
-    )
+        driver.solve(Subproblem.from_graph(g))
+    else:
+        driver.offer(solvers.greedy_clique(g))
+        root = Subproblem.from_graph(g)
+        driver.reductions += 1
+        peel_to_core(root, driver.lower_bound)
+        if root.size:
+            for part in _partition(root, cfg):
+                driver.queue(part)
+        driver.run()
+    return clique_result(g, driver.incumbent, cfg.solver, CliqueStats(driver.calls, driver.reductions))
 
 
-def _enqueue_partitions(root: Subproblem, cfg: SplitConfig, queue: SubproblemQueue) -> None:
-    """CH-partition the reduced graph and queue each part; one part is ``root`` itself."""
+def _partition(root: Subproblem, cfg: SplitConfig) -> list[Subproblem]:
+    """CH-partition the reduced graph into nonempty parts; one part is ``root`` itself."""
     if cfg.parts == 1 or root.size == 1:
-        queue.sorted_insert(root)
-        return
+        return [root]
     adj = root.adj
     compact = graph_from_adjacency(adj)
     if cfg.parts is None:
@@ -179,44 +188,9 @@ def _enqueue_partitions(root: Subproblem, cfg: SplitConfig, queue: SubproblemQue
     else:
         partition = ch_partition(compact, min(cfg.parts, compact.num_vertices), cfg.seed)
     if partition.num_parts == 1:
-        queue.sorted_insert(root)
-        return
-    for i in range(partition.num_parts):
-        part = {compact.label(v) for v in partition.part_vertices(i)}
-        part_adj = {v: adj[v] & part for v in part}
-        queue.sorted_insert(Subproblem(part_adj))
-
-
-def _split_item(item: Subproblem, cfg: SplitConfig, state: _DriverState) -> None:
-    if item.min_degree() == item.size - 1:
-        # The subgraph is a clique: no solve needed.
-        state.queue.update_incumbent(set(item.adj) | item.anchor)
-        return
-
-    v = _choose_split_vertex(item, cfg.vertex_limit)
-    ssg_adj = item.extract_neighborhood(v)
-    item.remove_vertex(v)
-
-    bound = state.queue.lower_bound
-    state.reductions += 1
-    item.reduce(max(bound - len(item.anchor), 0), state.rng, touched=list(ssg_adj))
-    if item.size:
-        if item.size <= cfg.vertex_limit:
-            state.solve_item(item)
-        else:
-            state.queue.sorted_insert(item)
-
-    anchor = item.anchor | {v}
-    ssg = Subproblem(ssg_adj, anchor)
-    state.reductions += 1
-    ssg.reduce(max(bound - len(anchor), 0), state.rng)
-    if ssg.size:
-        if ssg.size <= cfg.vertex_limit:
-            state.solve_item(ssg)
-        else:
-            # Oversize neighborhood subgraphs re-enter the worklist with
-            # their anchor extended; recombination stays exact.
-            state.queue.sorted_insert(ssg)
+        return [root]
+    parts = [{compact.label(v) for v in partition.part_vertices(i)} for i in range(partition.num_parts)]
+    return [Subproblem({v: adj[v] & part for v in part}) for part in parts]
 
 
 def sweep_vertex_limit(

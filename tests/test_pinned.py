@@ -11,7 +11,11 @@ run and each sample was polished by its own descent; annealing the reads
 in lockstep and polishing them in one batch must not change them. The
 ``sa_qubo`` and ``sa_clique`` figures were recorded while each move still
 called ``math.exp``; deciding every move by comparing its energy change
-with a precomputed threshold ``T * -ln(u)`` must not change them.
+with a precomputed threshold ``T * -ln(u)`` must not change them. The
+partitioned and whole-graph ``split_solve`` figures were recorded while
+the driver's solve-or-queue choice was still spread over four helpers, and
+while a graph that fits the limit still bypassed the driver; routing every
+subproblem through one solve path must not change them.
 """
 
 import random
@@ -64,6 +68,41 @@ def test_split_solve_sampler_pinned():
         vertex_limit=12, seed=3, solver="sampler", solver_config=SolverConfig(seed=3, num_reads=20)
     )
     assert fingerprint(split_solve(g, cfg)) == (5, 3, 11, [101, 105, 106, 107, 111])
+
+
+# (parts, vertex_limit, split seed) -> fingerprint on a contracted C(12,12,4)
+# graph (152 contractions, seed 0). The automatic search (parts=None) splits
+# it into 4 parts, so both runs queue and solve partition parts.
+PARTITIONED_PINS = {
+    (None, 45, 1): (4, 13, 185, [769, 776, 778, 780]),
+    (4, 20, 1): (4, 13, 193, [769, 776, 778, 780]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PARTITIONED_PINS, key=str))
+def test_split_solve_partitioned_pinned(key):
+    parts, limit, seed = key
+    g, _ = contract_random_edges(chimera_graph(ChimeraSpec(12, 12, 4)), 152, 0)
+    result = split_solve(g, SplitConfig(vertex_limit=limit, seed=seed, parts=parts))
+    assert fingerprint(result) == PARTITIONED_PINS[key]
+
+
+# (n, p, seed, vertex_limit, backend) -> fingerprint of a graph that fits the
+# limit whole: one subsolver call on the whole graph, no reduction.
+SMALL_PINS = {
+    (8, 0.5, 1, 10, "exact"): (4, 1, 0, [0, 1, 4, 6]),
+    (8, 0.5, 1, 10, "sa-clique"): (4, 1, 0, [1, 4, 5, 6]),
+    (40, 0.4, 3, 45, "sa-clique"): (5, 1, 0, [14, 27, 32, 35, 38]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SMALL_PINS))
+def test_split_solve_fits_limit_pinned(key):
+    n, p, seed, limit, backend = key
+    cfg = SplitConfig(
+        vertex_limit=limit, seed=seed, solver=backend, solver_config=SolverConfig(seed=seed)
+    )
+    assert fingerprint(split_solve(gnp_random(n, p, seed), cfg)) == SMALL_PINS[key]
 
 
 GRAPHS = {

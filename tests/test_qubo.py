@@ -239,3 +239,23 @@ class TestQuboText:
     def test_repeated_terms_rejected(self, text, line):
         with pytest.raises(ValueError, match=f"line {line}: duplicate"):
             parse_qubo(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("N 2\nQ 0 0 1\n", "line 2: diagonal quadratic key"),
+            ("N 2\nL 5 1\n", "line 2: linear index 5 out of range"),
+            ("N 2\nL -1 1\n", "line 2: linear index -1 out of range"),
+            ("N 2\nL 0 1\nQ 0 7 1\n", r"line 3: quadratic key \(0, 7\) out of range"),
+            ("Q 0 1 1\nL 2 1\nN 2\n", "line 2: linear index 2 out of range"),
+            ("N -1\n", "line 1: num_variables must be non-negative"),
+        ],
+        ids=["diagonal", "linear-high", "linear-negative", "quadratic-high", "n-last", "negative-n"],
+    )
+    def test_index_errors_name_the_line(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_qubo(text)
+
+    def test_n_line_may_come_last(self):
+        q = parse_qubo("c terms first\nL 0 -1\nQ 1 0 2\nL 1 -1\nN 2\n")
+        assert q == Qubo(2, {0: -1.0, 1: -1.0}, {(0, 1): 2.0})

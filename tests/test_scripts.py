@@ -14,6 +14,18 @@ RUN_HEADER = (
 )
 
 
+def run_script(script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args.split()],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
 @pytest.mark.parametrize(
     "script, args, header",
     [
@@ -27,16 +39,16 @@ RUN_HEADER = (
     ],
 )
 def test_script_writes_csv(script, args, header):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args.split()],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    done = run_script(script, args)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0] == header
     assert len(lines) > 1
+
+
+def test_density_sweep_fit_with_flat_call_counts():
+    # Both densities make the same median call count, so the log-linear fit is flat.
+    done = run_script("density_sweep.py", "--n 30 --p-values 0.1,0.12 --seeds 1 --vertex-limit 40")
+    assert done.returncode == 0, done.stderr
+    assert "R^2=" in done.stderr
+    assert "nan" not in done.stderr and "RuntimeWarning" not in done.stderr

@@ -16,7 +16,8 @@ from cliquesplit import (
     split_solve,
     sweep_vertex_limit,
 )
-from cliquesplit.splitting import Subproblem, SubproblemQueue, _choose_split_vertex
+from cliquesplit.solvers import get_subsolver
+from cliquesplit.splitting import Subproblem, _choose_split_vertex, _Driver
 
 from conftest import brute_max_clique, complete_graph, star_graph, wheel5
 
@@ -28,21 +29,23 @@ small_graphs = st.builds(
 )
 
 
-class TestSubproblemQueue:
+class TestDriverWorklist:
     def test_sorted_insert_keeps_order(self):
-        q = SubproblemQueue(incumbent=[0])
-        for size in (5, 2, 9, 2, 7):
-            q.sorted_insert(Subproblem({v: set() for v in range(size)}))
-        sizes = [item.size for item in q.items]
-        assert sizes == sorted(sizes)
-        assert q.pop_largest().size == 9
+        driver = _Driver(SplitConfig(vertex_limit=10), get_subsolver("exact"))
+        items = [Subproblem({v: set() for v in range(size)}) for size in (5, 2, 9, 2, 7)]
+        for item in items:
+            driver.queue(item)
+        # Ascending by size; the two size-2 items keep their insertion order.
+        assert driver.items == [items[1], items[3], items[0], items[4], items[2]]
+        assert driver.items.pop().size == 9  # the run loop pops the largest
 
     def test_incumbent_only_improves(self):
-        q = SubproblemQueue(incumbent=[1, 2])
-        assert not q.update_incumbent({5, 6})  # tie keeps the first clique
-        assert q.incumbent == frozenset({1, 2})
-        assert q.update_incumbent({5, 6, 7})
-        assert q.lower_bound == 3
+        driver = _Driver(SplitConfig(vertex_limit=10), get_subsolver("exact"))
+        driver.offer({1, 2})
+        driver.offer({5, 6})  # a tie keeps the first clique
+        assert driver.incumbent == frozenset({1, 2})
+        driver.offer({5, 6, 7})
+        assert driver.incumbent == frozenset({5, 6, 7}) and driver.lower_bound == 3
 
 
 class TestChooseSplitVertex:
@@ -181,6 +184,28 @@ class TestSplitSolve:
         with pytest.raises(SubproblemSolveError) as info:
             split_solve(g, SplitConfig(vertex_limit=10, seed=0), solver=broken)
         assert info.value.subgraph.num_vertices <= 10
+
+    def test_solver_failure_on_a_graph_that_fits_carries_it_whole(self):
+        from cliquesplit import SolverError
+
+        def broken(subgraph, seed):
+            raise SolverError("boom")
+
+        with pytest.raises(SubproblemSolveError) as info:
+            split_solve(gnp_random(8, 0.5, 1), SplitConfig(vertex_limit=10), solver=broken)
+        assert info.value.subgraph.num_vertices == 8
+        assert info.value.anchor == frozenset()
+
+    def test_budget_error_stays_the_cause(self):
+        from cliquesplit import BudgetExceededError
+
+        g = gnp_random(8, 0.5, 3)  # the exact oracle needs more than one branch node here
+        cfg = SplitConfig(vertex_limit=10, solver_config=SolverConfig(budget=1))
+        with pytest.raises(SubproblemSolveError) as info:
+            split_solve(g, cfg)
+        cause = info.value.__cause__
+        assert isinstance(cause, BudgetExceededError)
+        assert cause.best is not None and is_clique(g, cause.best.vertices)
 
     def test_sa_clique_backend_end_to_end(self):
         g = gnp_random(60, 0.4, 8)
