@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 import statistics
 import time
 from dataclasses import dataclass, fields, replace
@@ -192,14 +193,18 @@ _INT_KEYS = {
     "repetitions",
 }
 _FLOAT_KEYS = {"p", "avg_degree", "per_call_time_model_s"}
+_COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
 def parse_config(text: str) -> BenchConfig:
-    """Parse the flat ``key = value`` experiment file format."""
+    """Parse the flat ``key = value`` experiment file format.
+
+    A ``#`` that starts a line or follows whitespace starts a comment.
+    """
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = _COMMENT.sub("", raw).strip()
+        if not line:
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value'")

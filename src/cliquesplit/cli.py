@@ -35,6 +35,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _parts(text: str) -> int | None:
+    """``--parts``: 'auto' (None) or a part count of at least 1."""
+    if text == "auto":
+        return None
+    try:
+        parts = int(text)
+    except ValueError:
+        parts = 0
+    if parts < 1:
+        raise argparse.ArgumentTypeError(f"expected 'auto' or an integer >= 1, got {text!r}")
+    return parts
+
+
 def _read_graph(path: str) -> Graph:
     if path == "-":
         return parse_dimacs(sys.stdin.read())
@@ -101,7 +114,7 @@ def build_parser() -> _Parser:
     split.add_argument("--vertex-limit", type=int, required=True)
     split.add_argument("--solver", choices=SOLVER_NAMES, default="exact")
     split.add_argument("--seed", type=int, default=0)
-    split.add_argument("--parts", default="auto", help="CH-partition part count or 'auto'")
+    split.add_argument("--parts", type=_parts, default="auto", help="CH-partition part count or 'auto'")
     split.add_argument("--out", default=None)
 
     solve = sub.add_parser("solve", help="run one subproblem solver directly")
@@ -155,11 +168,10 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_split(args) -> int:
     g = _read_graph(args.input)
-    parts = None if args.parts == "auto" else int(args.parts)
     cfg = SplitConfig(
         vertex_limit=args.vertex_limit,
         seed=args.seed,
-        parts=parts,
+        parts=args.parts,
         solver=args.solver,
     )
     begin = time.perf_counter()

@@ -31,23 +31,23 @@ class ReductionOutcome:
 class Subproblem:
     """A subgraph in the input graph's id space plus its anchor set.
 
-    Keeps a sorted id list and the vertices of each degree (``by_degree``,
-    a list of vertex sets indexed by degree) synchronized under edge and
-    vertex removals, so each driver iteration (vertex choice, uniform
-    random pick, clique check) costs local work instead of a full scan.
-    Degrees only ever decrease here.
+    ``adj`` is the subgraph. Two indexes over it, the sorted id list
+    ``ids`` and the vertices of each degree ``by_degree`` (a list of
+    vertex sets indexed by degree), are each built on first use and from
+    then on kept synchronized under edge and vertex removals, so each
+    driver iteration (vertex choice, uniform random pick, clique check)
+    costs local work instead of a full scan, while a subgraph that is
+    peeled empty or solved whole never builds either. Degrees only ever
+    decrease here.
     """
 
-    __slots__ = ("adj", "anchor", "ids", "by_degree", "core_bound", "_min_deg")
+    __slots__ = ("adj", "anchor", "_ids", "_by_degree", "core_bound", "_min_deg")
 
     def __init__(self, adj: dict[int, set[int]], anchor: frozenset[int] = frozenset()):
         self.adj = adj
         self.anchor = anchor
-        self.ids = sorted(adj)
-        max_deg = max((len(s) for s in adj.values()), default=0)
-        self.by_degree: list[set[int]] = [set() for _ in range(max_deg + 1)]
-        for v, nbrs in adj.items():
-            self.by_degree[len(nbrs)].add(v)
+        self._ids: list[int] | None = None
+        self._by_degree: list[set[int]] | None = None
         self.core_bound = -1  # largest k this subgraph is known to be a k-core of
         self._min_deg = 0
 
@@ -58,17 +58,34 @@ class Subproblem:
 
     @property
     def size(self) -> int:
-        return len(self.ids)
+        return len(self.adj)
+
+    @property
+    def ids(self) -> list[int]:
+        """The vertex ids, ascending; built on first use."""
+        if self._ids is None:
+            self._ids = sorted(self.adj)
+        return self._ids
+
+    @property
+    def by_degree(self) -> list[set[int]]:
+        """The vertices of each degree, indexed by degree; built on first use."""
+        if self._by_degree is None:
+            self._by_degree = [set() for _ in range(max(map(len, self.adj.values()), default=0) + 1)]
+            for v, nbrs in self.adj.items():
+                self._by_degree[len(nbrs)].add(v)
+        return self._by_degree
 
     def _degree_drop(self, v: int, new_degree: int) -> None:
-        self.by_degree[new_degree + 1].discard(v)
-        self.by_degree[new_degree].add(v)
+        self._by_degree[new_degree + 1].discard(v)
+        self._by_degree[new_degree].add(v)
         if new_degree < self._min_deg:
             self._min_deg = new_degree
 
     def min_degree(self) -> int:
+        by_degree = self.by_degree
         d = self._min_deg
-        while d < len(self.by_degree) and not self.by_degree[d]:
+        while d < len(by_degree) and not by_degree[d]:
             d += 1
         self._min_deg = d
         return d
@@ -81,7 +98,7 @@ class Subproblem:
 
     def median_degree(self) -> int:
         """Lower median of the degree sequence."""
-        target = (len(self.ids) - 1) // 2
+        target = (len(self.adj) - 1) // 2
         seen = 0
         for d in range(self.min_degree(), self.max_degree() + 1):
             seen += len(self.by_degree[d])
@@ -93,22 +110,40 @@ class Subproblem:
         return min(self.by_degree[degree])
 
     def random_vertex(self, rng: random.Random) -> int:
-        return self.ids[rng.randrange(len(self.ids))]
+        ids = self.ids
+        return ids[rng.randrange(len(ids))]
 
     def remove_edge(self, u: int, v: int) -> None:
         self.adj[u].discard(v)
         self.adj[v].discard(u)
-        self._degree_drop(u, len(self.adj[u]))
-        self._degree_drop(v, len(self.adj[v]))
+        if self._by_degree is not None:
+            self._degree_drop(u, len(self.adj[u]))
+            self._degree_drop(v, len(self.adj[v]))
 
-    def remove_vertex(self, v: int) -> None:
-        for u in self.adj[v]:
-            su = self.adj[u]
+    def remove_vertex(self, v: int, below: int = 0) -> list[int]:
+        """Delete ``v`` and its edges.
+
+        Returns the neighbors whose degree fell below ``below`` with this
+        removal (degree ``below - 1`` now), none for the default 0.
+        """
+        adj = self.adj
+        nbrs = adj.pop(v)
+        by_degree = self._by_degree
+        fell = below - 1
+        fallen = []
+        for u in nbrs:
+            su = adj[u]
             su.discard(v)
-            self._degree_drop(u, len(su))
-        self.by_degree[len(self.adj[v])].discard(v)
-        del self.adj[v]
-        self.ids.pop(bisect_left(self.ids, v))
+            d = len(su)
+            if d == fell:
+                fallen.append(u)
+            if by_degree is not None:
+                self._degree_drop(u, d)
+        if by_degree is not None:
+            by_degree[len(nbrs)].discard(v)
+        if self._ids is not None:
+            self._ids.pop(bisect_left(self._ids, v))
+        return fallen
 
     def prune_low_overlap_edges(self, centres: Sequence[int], lower_bound: int) -> list[int]:
         """Drop edges (v, n), v in ``centres``, whose endpoints share fewer
@@ -156,7 +191,7 @@ class Subproblem:
         else:
             peel_to_core(self, lower_bound)
         self.core_bound = lower_bound
-        if self.ids:
+        if self.adj:
             centres = self.ids if prune_all_vertices else [self.random_vertex(rng)]
             affected = self.prune_low_overlap_edges(centres, lower_bound)
             if affected:
@@ -170,23 +205,24 @@ class Subproblem:
 def peel_to_core(sub: Subproblem, k: int, candidates: Iterable[int] | None = None) -> int:
     """In-place k-core peeling of ``sub``; returns the number of removed vertices.
 
-    When ``candidates`` is given only those vertices (and the cascade they
-    trigger) are examined — correct whenever every other vertex already
-    had degree >= k, which makes incremental re-peeling after local edits
-    linear in the affected region.
+    Without ``candidates`` the first pass walks ``sub.adj``, so the peel
+    builds neither of ``sub``'s indexes; it updates the ones already
+    built. When ``candidates`` is given only those vertices (and the
+    cascade they trigger) are examined — correct whenever every other
+    vertex already had degree >= k, which makes incremental re-peeling
+    after local edits linear in the affected region.
     """
     adj = sub.adj
-    pool = sub.ids if candidates is None else candidates
-    stack = [v for v in pool if v in adj and len(adj[v]) < k]
+    if candidates is None:
+        stack = [v for v, nbrs in adj.items() if len(nbrs) < k]
+    else:
+        stack = [v for v in candidates if v in adj and len(adj[v]) < k]
     removed = 0
     while stack:
         v = stack.pop()
-        if v not in adj:
-            continue
-        nbrs = adj[v]
-        sub.remove_vertex(v)
-        stack += [u for u in nbrs if len(adj[u]) < k]
-        removed += 1
+        if v in adj:
+            stack += sub.remove_vertex(v, k)
+            removed += 1
     return removed
 
 

@@ -109,13 +109,18 @@ class SamplerProtocol(Protocol):
 
 
 def greedy_clique(g: Graph) -> list[int]:
-    """Grow a clique by repeatedly adding the highest-degree compatible vertex."""
-    candidates = set(range(g.num_vertices))
+    """Grow a clique by repeatedly adding the highest-degree compatible vertex.
+
+    One pass over the vertices by descending degree, ties to the smaller
+    id, takes each vertex adjacent to every one taken before.
+    """
+    degrees = g.degrees()
+    candidates = set(range(len(degrees)))
     clique: list[int] = []
-    while candidates:
-        v = min(candidates, key=lambda u: (-g.degree(u), u))
-        clique.append(v)
-        candidates &= g.neighbors(v)
+    for v in sorted(range(len(degrees)), key=degrees.__getitem__, reverse=True):
+        if v in candidates:
+            clique.append(v)
+            candidates &= g.neighbors(v)
     return clique
 
 
@@ -151,14 +156,12 @@ def exact_max_clique(g: Graph, budget: int | None = None) -> CliqueResult:
     n = g.num_vertices
     if n == 0:
         return CliqueResult(frozenset(), 0, "exact")
-    by_degree = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    position = {v: i for i, v in enumerate(by_degree)}
-    adj = [0] * n
-    for v in range(n):
-        mask = 0
-        for u in g.neighbors(v):
-            mask |= 1 << position[u]
-        adj[position[v]] = mask
+    order = sorted(range(n), key=g.degrees().__getitem__, reverse=True)  # stable: ties keep ascending ids
+    position = [0] * n
+    for i, v in enumerate(order):
+        position[v] = i
+    bit = [1 << i for i in position]
+    adj = [sum(map(bit.__getitem__, g.neighbors(v))) for v in order]
 
     seed_clique = [position[v] for v in greedy_clique(g)]
     best_size = len(seed_clique)
@@ -167,7 +170,7 @@ def exact_max_clique(g: Graph, budget: int | None = None) -> CliqueResult:
     nodes = 0
 
     def result_so_far() -> CliqueResult:
-        return clique_result(g, (by_degree[i] for i in best), "exact")
+        return clique_result(g, (order[i] for i in best), "exact")
 
     def expand(rsize: int, cand: int) -> None:
         nonlocal best_size, best, nodes

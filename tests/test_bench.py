@@ -1,5 +1,6 @@
 import csv
 import io
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +132,17 @@ class TestParseConfig:
         assert cfg.seeds == (1, 2, 3)
         assert cfg.repetitions == 2
         assert cfg.parts is None
+
+    def test_readme_example(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        after_intro = readme.split("`bench` reads flat `key = value` config files:", 1)[1]
+        cfg = parse_config(after_intro.split("```")[1])
+        assert (cfg.experiment, cfg.graph, cfg.n, cfg.p) == ("demo", "gnp", 500, 0.3)
+        assert (cfg.vertex_limit, cfg.seeds, cfg.per_call_time_model_s) == (45, (0, 1, 2, 3, 4), 0.15)
+
+    def test_inline_comments(self):
+        cfg = parse_config("experiment = run#2   # a comment\n  # a whole line\nn = 40\t# after a tab\n")
+        assert (cfg.experiment, cfg.n) == ("run#2", 40)
 
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown key"):

@@ -82,6 +82,22 @@ class TestSplit:
         assert fields[1:4] == ["4", "6", "2"]
         assert fields[5] == "4"
 
+    @pytest.mark.parametrize("parts", ["x", "1.5", "0"])
+    def test_bad_parts_is_a_usage_error_naming_the_option(self, tmp_path, capsys, parts):
+        src = tmp_path / "in.clq"
+        src.write_text(K4_TEXT)
+        code, out, err = run_cli(["split", str(src), "--vertex-limit", "2", "--parts", parts], capsys)
+        assert (code, out) == (1, "")
+        assert "argument --parts: expected 'auto' or an integer >= 1" in err
+        assert "invalid literal" not in err
+
+    def test_explicit_parts(self, tmp_path, capsys):
+        src = tmp_path / "in.clq"
+        src.write_text(K4_TEXT)
+        code, out, err = run_cli(["split", str(src), "--vertex-limit", "2", "--parts", "2"], capsys)
+        assert code == 0, err
+        assert out.strip().splitlines()[1].split(",")[5] == "4"
+
     def test_p_col_header(self, tmp_path, capsys):
         # The DIMACS clique benchmark files use "p col N M".
         src = tmp_path / "in.clq"

@@ -155,19 +155,32 @@ class TestSubproblemDegreeIndex:
         data=st.data(),
     )
     def test_matches_adjacency_after_every_step(self, g, data):
+        # The index is first read after a random prefix of steps, which
+        # draw vertices from sorted(sub.adj), not sub.ids, so the prefix
+        # builds neither index; from then on it is checked after every step.
         sub = Subproblem.from_graph(g)
-        assert_degree_index_matches(sub)
-        for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
-            edges = [(u, v) for u in sub.ids for v in sub.adj[u] if u < v]
-            steps = ["peel"] + ["vertex"] * bool(sub.ids) + ["edge"] * bool(edges)
+        prefix = data.draw(st.integers(min_value=0, max_value=8))
+        for step_number in range(prefix + data.draw(st.integers(min_value=1, max_value=12))):
+            if step_number == prefix:
+                assert (sub._ids, sub._by_degree) == (None, None)  # no step built an index
+                assert_degree_index_matches(sub)
+            vertices = sorted(sub.adj)
+            edges = [(u, v) for u in vertices for v in sub.adj[u] if u < v]
+            steps = ["peel"] + ["vertex"] * bool(vertices) + ["edge"] * bool(edges)
             step = data.draw(st.sampled_from(steps))
             if step == "edge":
                 sub.remove_edge(*data.draw(st.sampled_from(edges)))
             elif step == "vertex":
-                sub.remove_vertex(data.draw(st.sampled_from(sub.ids)))
+                v = data.draw(st.sampled_from(vertices))
+                below = data.draw(st.integers(min_value=0, max_value=8))
+                before = {u: len(sub.adj[u]) for u in sub.adj[v]}
+                fallen = sub.remove_vertex(v, below)
+                assert v not in sub.adj and all(v not in nbrs for nbrs in sub.adj.values())
+                assert sorted(fallen) == sorted(u for u, d in before.items() if d >= below > len(sub.adj[u]))
             else:
                 before = sub.size
                 k = data.draw(st.integers(min_value=0, max_value=8))
                 assert peel_to_core(sub, k) == before - sub.size
                 assert all(len(nbrs) >= k for nbrs in sub.adj.values())
-            assert_degree_index_matches(sub)
+            if step_number >= prefix:
+                assert_degree_index_matches(sub)

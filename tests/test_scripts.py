@@ -52,3 +52,14 @@ def test_density_sweep_fit_with_flat_call_counts():
     assert done.returncode == 0, done.stderr
     assert "R^2=" in done.stderr
     assert "nan" not in done.stderr and "RuntimeWarning" not in done.stderr
+
+
+def test_fingerprint_prints_one_digest_per_instance():
+    done = run_script("fingerprint.py", "--workload dense-exact --seed 1 --scale tiny")
+    assert done.returncode == 0, done.stderr
+    lines = [line.split() for line in done.stdout.splitlines()]
+    assert [int(fields[0]) for fields in lines] == [0, 1]  # the tiny workload's two instances
+    for fields in lines:
+        assert len(fields) == 5 and len(fields[4]) == 16
+        assert int(fields[1]) >= 1 and int(fields[2]) >= 1
+    assert run_script("fingerprint.py", "--workload dense-exact --seed 1 --scale tiny").stdout == done.stdout

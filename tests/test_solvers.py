@@ -101,6 +101,25 @@ class TestGreedyClique:
             g = gnp_random(25, 0.5, seed)
             assert len(greedy_clique(g)) <= exact_max_clique(g).size
 
+    @given(
+        g=st.builds(
+            gnp_random,
+            n=st.integers(min_value=0, max_value=40),
+            p=st.floats(min_value=0.0, max_value=1.0),
+            seed=st.integers(min_value=0, max_value=2**32),
+        )
+    )
+    def test_matches_min_with_key_reference(self, g):
+        # Reference: the highest-degree candidate, ties to the smallest id,
+        # chosen afresh among the shrinking candidates at every step.
+        candidates = set(range(g.num_vertices))
+        expected = []
+        while candidates:
+            v = min(candidates, key=lambda u: (-g.degree(u), u))
+            expected.append(v)
+            candidates &= g.neighbors(v)
+        assert greedy_clique(g) == expected
+
 
 class TestMetropolisCuts:
     @given(
