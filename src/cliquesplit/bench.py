@@ -46,7 +46,7 @@ class BenchConfig:
     path: str = ""
     solver: str = "exact"
     vertex_limit: int = 45
-    parts: int | None = None
+    parts: int = 1
     seeds: tuple[int, ...] = (0,)
     repetitions: int = 1
     per_call_time_model_s: float = 0.15
@@ -56,6 +56,8 @@ class BenchConfig:
             raise ValueError(f"unknown graph source {self.graph!r}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.parts < 1:
+            raise ValueError("parts must be >= 1")
         if self.per_call_time_model_s < 0:
             raise ValueError("per_call_time_model_s must be non-negative")
         if not self.seeds:
@@ -190,6 +192,7 @@ _INT_KEYS = {
     "word_length",
     "min_distance",
     "vertex_limit",
+    "parts",
     "repetitions",
 }
 _FLOAT_KEYS = {"p", "avg_degree", "per_call_time_model_s"}
@@ -218,8 +221,6 @@ def parse_config(text: str) -> BenchConfig:
                 values[key] = float(value)
             elif key == "seeds":
                 values[key] = tuple(int(tok) for tok in value.split(",") if tok.strip())
-            elif key == "parts":
-                values[key] = None if value == "auto" else int(value)
             elif key in {"experiment", "graph", "solver", "path"}:
                 values[key] = value
             else:

@@ -35,16 +35,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _parts(text: str) -> int | None:
-    """``--parts``: 'auto' (None) or a part count of at least 1."""
-    if text == "auto":
-        return None
+def _parts(text: str) -> int:
+    """``--parts``: a CH-partition part count of at least 1 (1: no partition)."""
     try:
         parts = int(text)
     except ValueError:
         parts = 0
     if parts < 1:
-        raise argparse.ArgumentTypeError(f"expected 'auto' or an integer >= 1, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return parts
 
 
@@ -114,7 +112,7 @@ def build_parser() -> _Parser:
     split.add_argument("--vertex-limit", type=int, required=True)
     split.add_argument("--solver", choices=SOLVER_NAMES, default="exact")
     split.add_argument("--seed", type=int, default=0)
-    split.add_argument("--parts", type=_parts, default="auto", help="CH-partition part count or 'auto'")
+    split.add_argument("--parts", type=_parts, default=1, help="CH-partition part count (1: no partition)")
     split.add_argument("--out", default=None)
 
     solve = sub.add_parser("solve", help="run one subproblem solver directly")

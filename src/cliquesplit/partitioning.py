@@ -241,6 +241,9 @@ def auto_ch_partition(g: Graph, vertex_limit: int, seed: int = 0) -> CHPartition
     expander s times costs far more downstream than its nominal cost
     saves. The boundary-refinement pass only runs on candidates that
     survive that probe. Ties keep the smaller s.
+
+    ``split_solve`` does not run this search; to decompose with its result,
+    pass its ``num_parts`` as ``SplitConfig.parts``.
     """
     n = g.num_vertices
     best = trivial_partition(g)

@@ -1,11 +1,11 @@
 """Worklist driver decomposing maximum clique into bounded-size solves.
 
-The pipeline: extract the k-core at the incumbent clique size, CH-partition
-it and queue the parts, then repeatedly pop the largest queued subgraph and
-either solve it (when it fits ``vertex_limit``) or split it at a chosen
-vertex v into the remainder and the neighborhood subgraph. Each child is
-reduced against the bound held before the split, then solved if it fits
-and queued otherwise.
+The pipeline: extract the k-core at the incumbent clique size and queue it,
+CH-partitioned into its parts only when ``parts >= 2`` is given, then
+repeatedly pop the largest queued subgraph and either solve it (when it
+fits ``vertex_limit``) or split it at a chosen vertex v into the remainder
+and the neighborhood subgraph. Each child is reduced against the bound
+held before the split, then solved if it fits and queued otherwise.
 
 One driver object, ``_Driver``, owns the worklist, the incumbent, the
 random stream and the counters, and its ``solve`` is the one path to the
@@ -30,9 +30,11 @@ from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from . import solvers
-# perfbench patches peel_to_core, auto_ch_partition, ch_partition, graph_from_adjacency here by name.
+# perfbench patches peel_to_core, ch_partition, graph_from_adjacency here by name. It also
+# looks up auto_ch_partition here, which split_solve no longer calls: the import stays only
+# until the benchmark's tracer drops that entry.
 from .graphs import CliqueResult, CliqueStats, Graph, clique_result, graph_from_adjacency
-from .partitioning import auto_ch_partition, ch_partition
+from .partitioning import auto_ch_partition, ch_partition  # noqa: F401
 from .reduction import Subproblem, peel_to_core
 from .solvers import SolverConfig, SolverError, SubproblemSolveError
 
@@ -41,8 +43,10 @@ from .solvers import SolverConfig, SolverError, SubproblemSolveError
 class SplitConfig:
     """Decomposition settings.
 
-    ``parts`` fixes the CH-partition part count; None searches powers of
-    two automatically.
+    ``parts`` is the CH-partition part count of the reduced root; None
+    (the default) and 1 both mean no partition. The automatic search,
+    ``partitioning.auto_ch_partition``, is not run by ``split_solve``;
+    call it directly and pass its part count to use it.
     """
 
     vertex_limit: int
@@ -178,15 +182,13 @@ def split_solve(
 
 
 def _partition(root: Subproblem, cfg: SplitConfig) -> list[Subproblem]:
-    """CH-partition the reduced graph into nonempty parts; one part is ``root`` itself."""
-    if cfg.parts == 1 or root.size == 1:
+    """CH-partition the reduced graph into ``cfg.parts`` nonempty parts when
+    ``cfg.parts >= 2``; otherwise, or when one part results, ``root`` itself."""
+    if cfg.parts in (None, 1) or root.size == 1:
         return [root]
     adj = root.adj
     compact = graph_from_adjacency(adj)
-    if cfg.parts is None:
-        partition = auto_ch_partition(compact, cfg.vertex_limit, cfg.seed)
-    else:
-        partition = ch_partition(compact, min(cfg.parts, compact.num_vertices), cfg.seed)
+    partition = ch_partition(compact, min(cfg.parts, compact.num_vertices), cfg.seed)
     if partition.num_parts == 1:
         return [root]
     parts = [{compact.label(v) for v in partition.part_vertices(i)} for i in range(partition.num_parts)]
@@ -203,7 +205,9 @@ def sweep_vertex_limit(
 ) -> list[tuple[int, int]]:
     """Run split_solve once per vertex limit with the same seed.
 
-    Returns (limit, subproblems solved) pairs; limits must be ascending.
+    ``parts`` goes to every ``SplitConfig``; the default None, like 1,
+    solves without a CH-partition. Returns (limit, subproblems solved)
+    pairs; limits must be ascending.
     """
     if list(limits) != sorted(limits):
         raise ValueError("limits must be ascending")

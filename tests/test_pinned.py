@@ -71,10 +71,12 @@ def test_split_solve_sampler_pinned():
 
 
 # (parts, vertex_limit, split seed) -> fingerprint on a contracted C(12,12,4)
-# graph (152 contractions, seed 0). The automatic search (parts=None) splits
-# it into 4 parts, so both runs queue and solve partition parts.
+# graph (152 contractions, seed 0). parts=None means no partition, the same
+# as parts=1: its figure was recorded with parts=1 before split_solve stopped
+# running the automatic part-count search for parts=None. The parts=4 run
+# queues and solves partition parts.
 PARTITIONED_PINS = {
-    (None, 45, 1): (4, 13, 185, [769, 776, 778, 780]),
+    (None, 45, 1): (4, 7, 177, [769, 776, 778, 780]),
     (4, 20, 1): (4, 13, 193, [769, 776, 778, 780]),
 }
 

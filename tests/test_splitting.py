@@ -4,12 +4,16 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+import cliquesplit.splitting
 from cliquesplit import (
+    ChimeraSpec,
     CliqueResult,
     Graph,
     SolverConfig,
     SplitConfig,
     SubproblemSolveError,
+    chimera_graph,
+    contract_random_edges,
     exact_max_clique,
     gnp_random,
     is_clique,
@@ -173,6 +177,18 @@ class TestSplitSolve:
         for parts in (1, 2, 4):
             result = split_solve(g, SplitConfig(vertex_limit=20, seed=1, parts=parts))
             assert result.size == expected
+
+    def test_default_config_runs_no_partition_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("split_solve ran the automatic CH-partition search")
+
+        monkeypatch.setattr(cliquesplit.splitting, "auto_ch_partition", no_search)
+        g, _ = contract_random_edges(chimera_graph(ChimeraSpec(12, 12, 4)), 152, 0)
+        result = split_solve(g, SplitConfig(vertex_limit=45, seed=1))
+        ids = {g.label(v): v for v in g.vertices()}  # the result is in label space
+        assert is_clique(g, [ids[v] for v in result.vertices]) and len(result.vertices) == result.size
+        whole = split_solve(g, SplitConfig(vertex_limit=45, seed=1, parts=1))
+        assert (result.stats, result.vertices) == (whole.stats, whole.vertices)
 
     def test_solver_failure_carries_subproblem(self):
         from cliquesplit import SolverError
