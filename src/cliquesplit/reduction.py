@@ -7,8 +7,13 @@ more. ``k_core`` peels low-degree vertices; ``reduce_graph`` additionally
 strips edges around a vertex whose endpoints share too few neighbors to
 sit inside a bigger clique, then peels again.
 
-``Subproblem`` is the one reduction engine: ``k_core``, ``reduce_graph``
-and the split driver all peel and prune through it.
+``Subproblem`` is the reduction engine over adjacency sets: ``k_core``,
+``reduce_graph`` and the split driver's root-side subproblems (the input
+core, its CH-partition parts, a graph that fits whole) peel and prune
+through it. ``BitsetSubproblem`` runs the same reduce pass over one
+adjacency bitmask per vertex; every neighborhood subproblem the split
+driver cuts is one, and they reach the same subgraphs and draw the same
+random numbers as the set engine would.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import Graph, graph_from_adjacency
+from .graphs import Graph, bit_positions, graph_from_adjacency, graph_from_masks
 
 
 @dataclass(frozen=True)
@@ -197,9 +202,155 @@ class Subproblem:
             if affected:
                 peel_to_core(self, lower_bound, candidates=affected)
 
-    def extract_neighborhood(self, v: int) -> dict[int, set[int]]:
+    def members(self) -> Iterable[int]:
+        """The vertex ids."""
+        return self.adj.keys()
+
+    def split_at(self, v: int) -> tuple["BitsetSubproblem", set[int]]:
+        """Cut out the neighborhood subgraph of ``v``, anchored at ``v``, then delete ``v``.
+
+        Returns the child and the vertices whose degree the deletion lowered.
+        """
         nb = self.adj[v]
-        return {u: self.adj[u] & nb for u in nb}
+        child = BitsetSubproblem.from_adjacency(self.adj, nb, self.anchor | {v})
+        self.remove_vertex(v)
+        return child, nb
+
+
+class BitsetSubproblem:
+    """A subgraph held as one adjacency bitmask per vertex, plus its anchor set.
+
+    Bit i stands for the input vertex ``labels[i]``. ``labels`` ascends,
+    so bit order is id order, and every subproblem cut from this one
+    shares it. The subgraph is the vertices on the bits of ``alive`` with
+    neighborhoods ``masks[i] & alive``: a mask may keep bits of removed
+    vertices, so removing a vertex clears one bit of ``alive``, and a
+    child cut at ``v`` is a copy of the mask list with ``alive`` narrowed
+    to ``masks[v]``. Removing an edge clears a bit in both endpoints'
+    masks, which is why each subproblem owns its list. Degrees are
+    counted when a split first asks for them, once per split.
+    """
+
+    __slots__ = ("labels", "masks", "alive", "anchor", "core_bound", "_degrees")
+
+    def __init__(self, labels: list[int], masks: list[int], alive: int, anchor: frozenset[int] = frozenset()):
+        self.labels = labels
+        self.masks = masks
+        self.alive = alive
+        self.anchor = anchor
+        self.core_bound = -1  # largest k this subgraph is known to be a k-core of
+        self._degrees: tuple[list[int], list[int]] | None = None
+
+    @classmethod
+    def from_adjacency(
+        cls, adj: dict[int, set[int]], members: set[int], anchor: frozenset[int] = frozenset()
+    ) -> "BitsetSubproblem":
+        """The subgraph of ``adj`` induced by ``members``, one bit per member."""
+        labels = sorted(members)
+        bit = {u: 1 << i for i, u in enumerate(labels)}
+        masks = [sum(map(bit.__getitem__, nbrs)) if (nbrs := adj[u] & members) else 0 for u in labels]
+        return cls(labels, masks, (1 << len(labels)) - 1, anchor)
+
+    @property
+    def size(self) -> int:
+        return self.alive.bit_count()
+
+    def members(self) -> Iterable[int]:
+        """The input ids of the vertices."""
+        return map(self.labels.__getitem__, bit_positions(self.alive))
+
+    def degrees(self) -> tuple[list[int], list[int]]:
+        """The bits of ``alive``, ascending, and each one's degree."""
+        if self._degrees is None:
+            masks, alive = self.masks, self.alive
+            ids = bit_positions(alive)
+            self._degrees = ids, [(masks[i] & alive).bit_count() for i in ids]
+        return self._degrees
+
+    def min_degree(self) -> int:
+        return min(self.degrees()[1], default=0)
+
+    def max_degree(self) -> int:
+        return max(self.degrees()[1], default=0)
+
+    def median_degree(self) -> int:
+        """Lower median of the degree sequence."""
+        degrees = sorted(self.degrees()[1])
+        return degrees[(len(degrees) - 1) // 2]
+
+    def smallest_id_of_degree(self, degree: int) -> int:
+        ids, degrees = self.degrees()
+        return ids[degrees.index(degree)]
+
+    def split_at(self, v: int) -> tuple["BitsetSubproblem", int]:
+        """Cut out the neighborhood subgraph of bit ``v``, anchored at its
+        vertex, then delete ``v``. Returns the child and the mask of the
+        vertices whose degree the deletion lowered."""
+        nb = self.masks[v] & self.alive
+        child = BitsetSubproblem(self.labels, self.masks.copy(), nb, self.anchor | {self.labels[v]})
+        self.alive ^= 1 << v
+        self._degrees = None
+        return child, nb
+
+    def graph(self) -> Graph:
+        """The subgraph as a compact Graph labelled by input ids."""
+        return graph_from_masks(self.masks, self.alive, self.labels)
+
+    def _peel(self, k: int, candidates: int) -> None:
+        """k-core peeling that examines the bits of ``candidates`` and the
+        cascade they trigger; as in ``peel_to_core``, every other vertex
+        must already have degree >= k.
+
+        Each pass removes every examined vertex of degree below k at once
+        and examines their surviving neighbors next; the k-core is unique,
+        so the batches reach the one-at-a-time peel's result.
+        """
+        masks = self.masks
+        alive = self.alive
+        candidates &= alive
+        while candidates:
+            low = nbrs = 0
+            for i in bit_positions(candidates):
+                if (masks[i] & alive).bit_count() < k:
+                    low |= 1 << i
+                    nbrs |= masks[i]
+            alive ^= low
+            candidates = nbrs & alive
+        self.alive = alive
+
+    def _prune_low_overlap_edges(self, centre: int, lower_bound: int) -> int:
+        """``Subproblem.prune_low_overlap_edges`` around one centre; returns
+        the mask of the dropped edges' endpoints, 0 when none dropped."""
+        threshold = lower_bound - 2
+        if threshold <= 0:
+            return 0
+        masks = self.masks
+        around = masks[centre] & self.alive
+        doomed = [n for n in bit_positions(around) if (around & masks[n]).bit_count() < threshold]
+        if not doomed:
+            return 0
+        keep = ~(1 << centre)
+        dropped = 0
+        for n in doomed:
+            masks[n] &= keep
+            dropped |= 1 << n
+        masks[centre] &= ~dropped
+        return dropped | 1 << centre
+
+    def reduce(self, lower_bound: int, rng: random.Random, touched: int | None = None) -> None:
+        """``Subproblem.reduce`` on masks, with ``touched`` a mask: the same
+        peels, the same random centre (the r-th surviving bit, ascending,
+        for the same draw r) and the same prune."""
+        self._degrees = None
+        if touched is None or lower_bound > self.core_bound:
+            touched = self.alive
+        self._peel(lower_bound, touched)
+        self.core_bound = lower_bound
+        if self.alive:
+            ids = bit_positions(self.alive)
+            affected = self._prune_low_overlap_edges(ids[rng.randrange(len(ids))], lower_bound)
+            if affected:
+                self._peel(lower_bound, affected)
 
 
 def peel_to_core(sub: Subproblem, k: int, candidates: Iterable[int] | None = None) -> int:

@@ -163,37 +163,56 @@ def exact_max_clique(g: Graph, budget: int | None = None) -> CliqueResult:
     bit = [1 << i for i in position]
     adj = [sum(map(bit.__getitem__, g.neighbors(v))) for v in order]
 
-    seed_clique = [position[v] for v in greedy_clique(g)]
-    best_size = len(seed_clique)
-    best = list(seed_clique)
-    stack: list[int] = []
-    nodes = 0
+    search = _BranchAndBound(adj, budget, [position[v] for v in greedy_clique(g)])
+    try:
+        search.expand(0, (1 << n) - 1, len(search.best))
+    except BudgetExceededError as exc:
+        exc.best = clique_result(g, (order[i] for i in search.best), "exact")
+        raise
+    return clique_result(g, (order[i] for i in search.best), "exact")
 
-    def result_so_far() -> CliqueResult:
-        return clique_result(g, (order[i] for i in best), "exact")
 
-    def expand(rsize: int, cand: int) -> None:
-        nonlocal best_size, best, nodes
+class _BranchAndBound:
+    """The state of one exact search: the bitset adjacency, the branch-node
+    budget and count, the best clique so far and the clique being grown.
+
+    The recursion is a method, not a closure: a nested function that calls
+    itself holds itself through its cell, so every search would leave a
+    reference cycle (with the mask lists) for the cyclic collector.
+    """
+
+    __slots__ = ("adj", "budget", "nodes", "best", "stack")
+
+    def __init__(self, adj: list[int], budget: int | None, best: list[int]):
+        self.adj = adj
+        self.budget = budget
+        self.nodes = 0
+        self.best = best
+        self.stack: list[int] = []
+
+    def expand(self, rsize: int, cand: int, best_size: int) -> int:
+        """Branch on the candidate bitset ``cand`` below the ``rsize``
+        vertices on the stack; returns the best clique size so far."""
+        adj = self.adj
+        stack = self.stack
         order, bounds = _color_sort(cand, adj)
         for i in range(len(order) - 1, -1, -1):
             if rsize + bounds[i] <= best_size:
-                return
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceededError(f"exceeded {budget} branch nodes", result_so_far())
+                return best_size
+            self.nodes += 1
+            if self.budget is not None and self.nodes > self.budget:
+                raise BudgetExceededError(f"exceeded {self.budget} branch nodes")
             v = order[i]
             stack.append(v)
             newcand = cand & adj[v]
             if newcand:
-                expand(rsize + 1, newcand)
+                best_size = self.expand(rsize + 1, newcand, best_size)
             elif rsize + 1 > best_size:
                 best_size = rsize + 1
-                best = list(stack)
+                self.best = list(stack)
             stack.pop()
             cand ^= 1 << v
-
-    expand(0, (1 << n) - 1)
-    return result_so_far()
+        return best_size
 
 
 def _adjacency_matrix(g: Graph) -> np.ndarray:

@@ -13,6 +13,17 @@ subsolver: every subproblem, including a whole graph that already fits
 the limit, reaches the subsolver there, so a failure always carries its
 subproblem.
 
+Two engines serve the driver through the same steps (``split``,
+``reduce_and_dispatch``, ``solve`` and the one selector
+``_choose_split_vertex``). The root side, which is the input's core, its
+CH-partition parts and a graph that fits whole, is a set-based
+``reduction.Subproblem``. Every neighborhood subgraph is a
+``reduction.BitsetSubproblem``: one int mask per vertex over the sorted
+ids of N(v) when cut from the root, and over its parent's index space,
+with a copy of the parent's masks, when cut from another bitset item.
+Both engines take the same decisions, so results do not depend on which
+one holds an item.
+
 Queue items carry an *anchor*: vertices adjacent to everything in the
 item (accumulated split vertices), so a clique of size k inside the item
 is a clique of size k + |anchor| in the input. Reinserting an oversize
@@ -35,7 +46,7 @@ from . import solvers
 # until the benchmark's tracer drops that entry.
 from .graphs import CliqueResult, CliqueStats, Graph, clique_result, graph_from_adjacency
 from .partitioning import auto_ch_partition, ch_partition  # noqa: F401
-from .reduction import Subproblem, peel_to_core
+from .reduction import BitsetSubproblem, Subproblem, peel_to_core
 from .solvers import SolverConfig, SolverError, SubproblemSolveError
 
 
@@ -62,15 +73,19 @@ class SplitConfig:
             raise ValueError("parts must be >= 1 when given")
 
 
-def _choose_split_vertex(sub: Subproblem, vertex_limit: int) -> int:
+Item = Subproblem | BitsetSubproblem
+
+
+def _choose_split_vertex(sub: Item, vertex_limit: int) -> int:
     """The maximum degree when its neighborhood fits the solver, else the
     lower median, else the minimum degree (smallest neighborhood
-    subgraph), also when nothing fits. Ties break to the smallest id."""
-    degrees = (sub.max_degree(), sub.median_degree(), sub.min_degree())
-    for d in degrees:
+    subgraph), also when nothing fits. Ties break to the smallest id.
+    Each tier's degree is read only when the tier above does not fit."""
+    for degree in (sub.max_degree, sub.median_degree):
+        d = degree()
         if d <= vertex_limit:
             return sub.smallest_id_of_degree(d)
-    return sub.smallest_id_of_degree(degrees[-1])
+    return sub.smallest_id_of_degree(sub.min_degree())
 
 
 class _Driver:
@@ -86,13 +101,13 @@ class _Driver:
         self.vertex_limit = cfg.vertex_limit
         self.solver = solver
         self.rng = random.Random(cfg.seed)
-        self.items: list[Subproblem] = []
+        self.items: list[Item] = []
         self.incumbent: frozenset[int] = frozenset()
         self.lower_bound = 0
         self.calls = 0
         self.reductions = 0
 
-    def queue(self, item: Subproblem) -> None:
+    def queue(self, item: Item) -> None:
         self.items.insert(bisect_right(self.items, item.size, key=attrgetter("size")), item)
 
     def offer(self, vertices: Iterable[int]) -> None:
@@ -101,9 +116,9 @@ class _Driver:
             self.incumbent = candidate
             self.lower_bound = len(candidate)
 
-    def solve(self, item: Subproblem) -> None:
+    def solve(self, item: Item) -> None:
         """Hand ``item`` to the subsolver and offer its clique plus the anchor."""
-        subgraph = graph_from_adjacency(item.adj)
+        subgraph = item.graph() if isinstance(item, BitsetSubproblem) else graph_from_adjacency(item.adj)
         seed = self.rng.getrandbits(63)
         self.calls += 1
         try:
@@ -124,22 +139,27 @@ class _Driver:
             else:
                 self.split(item)
 
-    def split(self, item: Subproblem) -> None:
+    def split(self, item: Item) -> None:
         if item.min_degree() == item.size - 1:
             # The subgraph is a clique: no solve needed.
-            self.offer(set(item.adj) | item.anchor)
+            self.offer(item.anchor.union(item.members()))
             return
         v = _choose_split_vertex(item, self.vertex_limit)
-        ssg_adj = item.extract_neighborhood(v)
-        item.remove_vertex(v)
+        # The child is cut before the remainder is reduced; its anchor is
+        # the item's extended by v.
+        child, touched = item.split_at(v)
         bound = self.lower_bound
-        self.reduce_and_dispatch(item, bound, touched=list(ssg_adj))
+        self.reduce_and_dispatch(item, bound, touched=touched)
         # An oversize neighborhood subgraph re-enters the worklist with its
         # anchor extended; recombination stays exact.
-        self.reduce_and_dispatch(Subproblem(ssg_adj, item.anchor | {v}), bound)
+        self.reduce_and_dispatch(child, bound)
 
-    def reduce_and_dispatch(self, item: Subproblem, bound: int, touched: list[int] | None = None) -> None:
-        """Reduce ``item`` against ``bound``, then solve it if it fits, else queue it."""
+    def reduce_and_dispatch(self, item: Item, bound: int, touched: Iterable[int] | int | None = None) -> None:
+        """Reduce ``item`` against ``bound``, then solve it if it fits, else queue it.
+
+        ``touched`` names the vertices whose degree fell since the item was
+        last reduced, in the item's own form: ids, or a mask of bits.
+        """
         self.reductions += 1
         item.reduce(max(bound - len(item.anchor), 0), self.rng, touched=touched)
         if item.size > self.vertex_limit:

@@ -142,6 +142,14 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="parts must be >= 1"):
             parse_config("n = 40\nparts = 0\n")
 
+    def test_vertex_limit_zero_is_rejected_before_any_run(self):
+        with pytest.raises(ValueError, match="vertex_limit must be >= 1"):
+            parse_config("n = 40\nvertex_limit = 0\n")
+
+    def test_unknown_solver_is_rejected_before_any_run(self):
+        with pytest.raises(ValueError, match="unknown solver 'nope'"):
+            parse_config("n = 40\nsolver = nope\n")
+
     def test_readme_example(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         after_intro = readme.split("`bench` reads flat `key = value` config files:", 1)[1]

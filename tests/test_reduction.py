@@ -6,7 +6,9 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from cliquesplit import Graph, exact_max_clique, gnp_random, k_core, reduce_graph
-from cliquesplit.reduction import Subproblem, peel_to_core
+from cliquesplit.graphs import bit_positions
+from cliquesplit.reduction import BitsetSubproblem, Subproblem, peel_to_core
+from cliquesplit.splitting import _choose_split_vertex
 
 from conftest import brute_max_clique, complete_graph, path_graph, random_graphs, star_graph
 
@@ -184,3 +186,65 @@ class TestSubproblemDegreeIndex:
                 assert all(len(nbrs) >= k for nbrs in sub.adj.values())
             if step_number >= prefix:
                 assert_degree_index_matches(sub)
+
+
+def bitset_adjacency(sub: BitsetSubproblem) -> dict[int, set[int]]:
+    """``sub`` as adjacency sets over input ids."""
+    ids = bit_positions(sub.alive)
+    return {sub.labels[i]: {sub.labels[j] for j in bit_positions(sub.masks[i] & sub.alive)} for i in ids}
+
+
+class TestBitsetSubproblem:
+    """The bitset engine takes every step the set engine takes on the same
+    subgraph: the same survivors and edges, the same random draws, the same
+    split vertex and the same neighborhood child."""
+
+    def assert_same(self, sets, bits, rng_s, rng_b):
+        assert bitset_adjacency(bits) == sets.adj
+        assert bits.size == sets.size
+        assert rng_b.getstate() == rng_s.getstate()
+
+    @given(
+        g=random_graphs,
+        bound=st.integers(min_value=0, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32),
+        limit=st.integers(min_value=1, max_value=14),
+    )
+    def test_matches_the_set_engine(self, g, bound, seed, limit):
+        sets = Subproblem.from_graph(g)
+        bits = BitsetSubproblem.from_adjacency(sets.adj, set(sets.adj))
+        rng_s, rng_b = random.Random(seed), random.Random(seed)
+        sets.reduce(bound, rng_s)
+        bits.reduce(bound, rng_b)
+        self.assert_same(sets, bits, rng_s, rng_b)
+        # Split the set-engine root and the bitset item at the same vertex,
+        # as the driver does, then reduce every piece again.
+        while sets.size:
+            v = _choose_split_vertex(sets, limit)
+            assert bits.labels[_choose_split_vertex(bits, limit)] == v
+            assert bits.min_degree() == sets.min_degree()
+            nb = sets.adj[v]
+            expected = {u: sets.adj[u] & nb for u in nb}
+            child_s, touched_s = sets.split_at(v)
+            child_b, touched_b = bits.split_at(bits.labels.index(v))
+            for child in (child_s, child_b):
+                assert bitset_adjacency(child) == expected and child.anchor == {v}
+            assert {bits.labels[i] for i in bit_positions(touched_b)} == set(touched_s) == set(nb)
+            sets.reduce(bound, rng_s, touched=touched_s)
+            bits.reduce(bound, rng_b, touched=touched_b)
+            self.assert_same(sets, bits, rng_s, rng_b)
+            child_s.reduce(bound, rng_s)
+            child_b.reduce(bound, rng_b)
+            assert bitset_adjacency(child_b) == bitset_adjacency(child_s)
+            assert rng_b.getstate() == rng_s.getstate()
+
+    @given(g=random_graphs, data=st.data())
+    def test_degree_queries_match_a_scan(self, g, data):
+        sub = BitsetSubproblem.from_adjacency(Subproblem.from_graph(g).adj, set(range(g.num_vertices)))
+        sub.alive &= data.draw(st.integers(min_value=1, max_value=2**g.num_vertices - 1))
+        degree = {v: len(nbrs) for v, nbrs in bitset_adjacency(sub).items()}
+        ordered = sorted(degree.values())
+        assert sub.min_degree() == ordered[0] and sub.max_degree() == ordered[-1]
+        assert sub.median_degree() == ordered[(len(ordered) - 1) // 2]
+        for d in set(ordered):
+            assert sub.smallest_id_of_degree(d) == min(v for v in degree if degree[v] == d)

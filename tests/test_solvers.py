@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -81,6 +82,17 @@ class TestExactMaxClique:
             exact_max_clique(g, budget=1)
         assert info.value.best is not None
         assert is_clique(g, info.value.best.vertices)
+
+    def test_search_leaves_no_reference_cycle(self):
+        g = gnp_random(40, 0.5, 3)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                exact_max_clique(g)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_labels_respected(self):
         from cliquesplit import induced_subgraph

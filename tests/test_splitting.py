@@ -1,3 +1,4 @@
+import gc
 import random
 
 import hypothesis.strategies as st
@@ -106,6 +107,19 @@ class TestSplitSolve:
             result = split_solve(g, SplitConfig(vertex_limit=limit, seed=seed, parts=parts))
             assert is_clique(g, result.vertices)
             assert len(result.vertices) == result.size == omega
+
+    def test_leaves_no_reference_cycle(self):
+        # Neither the driver nor the exact subsolver leaves garbage that
+        # only the cyclic collector can free.
+        g = gnp_random(120, 0.3, 4)
+        gc.collect()
+        gc.disable()
+        try:
+            result = split_solve(g, SplitConfig(vertex_limit=20, seed=1))
+            assert result.stats.subproblems_solved > 1
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_small_graph_single_solver_call(self, k5):
         calls = []
