@@ -6,12 +6,13 @@ does (same base graphs, relabelling, DIMACS text, split seed, backend and
 read count), decomposes each with ``split_solve`` from this checkout's
 ``src``, and prints one line per instance:
 
-    <index> <subsolver calls> <clique size> <reductions> <digest>
+    <index> <subsolver calls> <clique size> <reductions> <digest> <input digest>
 
 where the digest is a SHA-256 prefix over those three numbers and the
-sorted clique vertices. Two checkouts give the same results on a
-workload exactly when their outputs are equal, so comparing a change with
-its parent is one diff.
+sorted clique vertices, and the input digest is a SHA-256 prefix of the
+instance's DIMACS text. Two checkouts build the same inputs and give the
+same results on a workload exactly when their outputs are equal, so
+comparing a change with its parent is one diff.
 
 Usage:
     python3 scripts/fingerprint.py --workload dense-exact --seed 1 [--scale tiny]
@@ -58,7 +59,7 @@ def main() -> int:
         result = cs.split_solve(cs.parse_dimacs(text), cfg, solver=solver)
         fields = [result.stats.subproblems_solved, result.size, result.stats.reductions]
         digest = hashlib.sha256(json.dumps([*fields, sorted(result.vertices)]).encode()).hexdigest()[:16]
-        print(index, *fields, digest, flush=True)
+        print(index, *fields, digest, hashlib.sha256(text.encode()).hexdigest()[:16], flush=True)
     return 0
 
 

@@ -109,14 +109,15 @@ def build_graph(cfg: BenchConfig, seed: int) -> tuple[Graph, str]:
 def run_experiment(cfg: BenchConfig, solver_config: SolverConfig | None = None) -> list[RunRecord]:
     """Execute repetitions x seeds runs plus one median summary row.
 
-    Repetitions reuse the seed, so they replicate the deterministic
-    columns and only vary the wall-time measurements.
+    Repetitions reuse the seed and its graph, built once per seed, so they
+    replicate the deterministic columns and only vary the wall-time
+    measurements.
     """
     records: list[RunRecord] = []
     base_solver_cfg = solver_config if solver_config is not None else SolverConfig()
     for seed in cfg.seeds:
+        g, description = build_graph(cfg, seed)
         for repetition in range(cfg.repetitions):
-            g, description = build_graph(cfg, seed)
             subsolver = get_subsolver(cfg.solver, base_solver_cfg)
             solver_seconds = 0.0
 

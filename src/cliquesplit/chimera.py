@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -123,30 +124,35 @@ def contract_random_edges(g: Graph, m: int, seed: int) -> tuple[Graph, Contracti
     neighborhood N1 ∪ N2 \\ {v1, v2}; the edge set is re-sampled after
     every step. The result stays simple and loses exactly one vertex per
     contraction.
+
+    The current edges are kept as one sorted list of keys ``u * n + v``
+    (u < v, n = ``g.num_vertices``; a merged vertex keeps the smaller id,
+    so ids stay below n). Its r-th key is the r-th edge of the ascending
+    ``(u, v)`` edge list, so each draw is uniform over the current edges,
+    and a contraction updates only the keys of the absorbed vertex's edges.
     """
     if m < 0:
         raise ValueError("number of contractions must be non-negative")
-    if m >= g.num_vertices:
-        raise ValueError(f"cannot contract {m} edges in a {g.num_vertices}-vertex graph")
+    n = g.num_vertices
+    if m >= n:
+        raise ValueError(f"cannot contract {m} edges in a {n}-vertex graph")
     rng = random.Random(seed)
-    adj: dict[int, set[int]] = {v: set(g.neighbors(v)) for v in range(g.num_vertices)}
+    adj: dict[int, set[int]] = {v: set(g.neighbors(v)) for v in range(n)}
+    keys = sorted(u * n + v for u, nbrs in adj.items() for v in nbrs if v > u)
     steps: list[tuple[int, int, int]] = []
     for _ in range(m):
-        edge_list = [(u, v) for u in sorted(adj) for v in sorted(adj[u]) if v > u]
-        if not edge_list:
+        if not keys:
             raise ValueError("no edge available to contract")
-        u, v = edge_list[rng.randrange(len(edge_list))]
-        vstar, gone = (u, v) if u < v else (v, u)
-        merged = (adj[vstar] | adj[gone]) - {vstar, gone}
-        for x in adj[vstar]:
-            adj[x].discard(vstar)
-        for x in adj[gone]:
+        vstar, gone = divmod(keys[rng.randrange(len(keys))], n)  # vstar < gone
+        kept = adj[vstar]
+        for x in adj.pop(gone):
             adj[x].discard(gone)
-        del adj[gone]
-        adj[vstar] = merged
-        for x in merged:
-            adj[x].add(vstar)
-        steps.append((u, v, vstar))
+            del keys[bisect_left(keys, x * n + gone if x < gone else gone * n + x)]
+            if x != vstar and x not in kept:  # (vstar, x) is a new edge
+                kept.add(x)
+                adj[x].add(vstar)
+                insort(keys, x * n + vstar if x < vstar else vstar * n + x)
+        steps.append((vstar, gone, vstar))
     return graph_from_adjacency(adj, g), ContractionRecord(tuple(steps))
 
 

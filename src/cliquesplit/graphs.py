@@ -197,12 +197,12 @@ def parse_dimacs(text: str) -> Graph:
     """
     n: int | None = None
     m = p_line = 0
-    edges: list[tuple[int, int]] = []
+    heads: list[int] = []  # 0-based endpoints of the e lines, in order
+    tails: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("c"):
             continue
-        parts = line.split()
         if parts[0] == "p":
             if n is not None:
                 raise DimacsError(f"line {lineno}: duplicate problem line")
@@ -229,15 +229,20 @@ def parse_dimacs(text: str) -> Graph:
                 raise DimacsError(f"line {lineno}: vertex id out of [1, {n}]")
             if u == v:
                 raise DimacsError(f"line {lineno}: self-loop at vertex {u}")
-            edges.append((u - 1, v - 1))
+            heads.append(u - 1)
+            tails.append(v - 1)
         else:
-            raise DimacsError(f"line {lineno}: unrecognized line {line[:30]!r}")
+            raise DimacsError(f"line {lineno}: unrecognized line {raw.strip()[:30]!r}")
     if n is None:
         raise DimacsError("missing problem line")
-    g = Graph(n, edges)
-    if m not in (len(edges), g.num_edges):
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in zip(heads, tails):  # every line was checked above
+        adj[u].add(v)
+        adj[v].add(u)
+    g = Graph._from_adj(adj)
+    if m not in (len(heads), g.num_edges):
         raise DimacsError(
-            f"line {p_line}: {m} edges declared, {len(edges)} edge lines give {g.num_edges} distinct edges"
+            f"line {p_line}: {m} edges declared, {len(heads)} edge lines give {g.num_edges} distinct edges"
         )
     return g
 
@@ -245,7 +250,9 @@ def parse_dimacs(text: str) -> Graph:
 def write_dimacs(g: Graph) -> str:
     """Serialize to DIMACS; parse(write(g)) reproduces ids and edges."""
     lines = [f"p edge {g.num_vertices} {g.num_edges}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges())
+    for u in g.vertices():
+        prefix = f"e {u + 1} "
+        lines += [f"{prefix}{v + 1}" for v in sorted(g.neighbors(u)) if v > u]
     return "\n".join(lines) + "\n"
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cliquesplit import BenchConfig, RunRecord, emit_csv, parse_config, run_experiment
+from cliquesplit import BenchConfig, RunRecord, bench, emit_csv, parse_config, run_experiment
 
 
 def strip_wall_columns(csv_text: str) -> list[list[str]]:
@@ -36,6 +36,23 @@ class TestRunExperiment:
         a = strip_wall_columns(emit_csv(run_experiment(cfg)))
         b = strip_wall_columns(emit_csv(run_experiment(cfg)))
         assert a == b
+
+    def test_builds_each_seed_graph_once(self, monkeypatch):
+        built = []
+        build_graph = bench.build_graph
+
+        def counting_build_graph(cfg, seed):
+            built.append(seed)
+            return build_graph(cfg, seed)
+
+        monkeypatch.setattr(bench, "build_graph", counting_build_graph)
+        cfg = BenchConfig(graph="cm", rows=2, cols=2, shore=2, contractions=3,
+                          vertex_limit=16, seeds=(0, 1), repetitions=3)
+        records = run_experiment(cfg)
+        assert built == [0, 1]
+        assert [(r.seed, r.repetition) for r in records[:-1]] == [(s, k) for s in (0, 1) for k in range(3)]
+        for seed_runs in (records[0:3], records[3:6]):
+            assert len({(r.n, r.m, r.clique_size, r.solver_calls) for r in seed_runs}) == 1
 
     def test_density_sweep_trend(self):
         import statistics

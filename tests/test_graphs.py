@@ -1,3 +1,6 @@
+import random
+import re
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -91,6 +94,43 @@ class TestParseDimacs:
     def test_edge_count_mismatch_rejected(self, text, message):
         with pytest.raises(DimacsError, match=message):
             parse_dimacs(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p edge 2 0\np edge 2 0\n", "line 2: duplicate problem line"),
+            ("p clique 3 3\n", "line 1: expected 'p edge N M' or 'p col N M'"),
+            ("c\np edge 3\n", "line 2: expected 'p edge N M' or 'p col N M'"),
+            ("p edge x 3\n", "line 1: non-integer counts in problem line"),
+            ("p col 3 3.0\n", "line 1: non-integer counts in problem line"),
+            ("p edge -1 0\n", "line 1: negative vertex count"),
+            ("e 1 2\np edge 2 1\n", "line 1: edge before problem line"),
+            ("p edge 2 1\ne 1\n", "line 2: expected 'e u v'"),
+            ("p edge 2 1\ne 1 b\n", "line 2: non-integer edge endpoints"),
+            ("p edge 2 1\ne 1.0 2\n", "line 2: non-integer edge endpoints"),
+            ("p edge 2 1\ne 1 3\n", "line 2: vertex id out of [1, 2]"),
+            ("p edge 2 1\ne 0 1\n", "line 2: vertex id out of [1, 2]"),
+            ("p edge 2 1\ne 2 2\n", "line 2: self-loop at vertex 2"),
+            ("\n  \n\tc indented\np edge 2 1\n\ne 1 1\n", "line 6: self-loop at vertex 1"),
+            ("p edge 2 0\n  x" + "y" * 40 + " \n", "line 2: unrecognized line 'x" + "y" * 29 + "'"),
+            ("p edge 2 0\n\tedge 1 2\n", "line 2: unrecognized line 'edge 1 2'"),
+            ("c nothing here\n", "missing problem line"),
+            ("p edge 2 2\ne 1 2\n", "line 1: 2 edges declared, 1 edge lines give 1 distinct edges"),
+        ],
+        ids=[
+            "duplicate-p", "unknown-format", "short-p", "count-not-int", "count-float",
+            "negative-n", "edge-before-p", "short-e", "endpoint-not-int", "endpoint-float",
+            "endpoint-above-n", "endpoint-zero", "self-loop", "lines-counted-after-skips",
+            "unrecognized-capped", "unrecognized-stripped", "missing-p", "count-mismatch",
+        ],
+    )
+    def test_every_error_names_its_line(self, text, message):
+        with pytest.raises(DimacsError, match=f"^{re.escape(message)}$"):
+            parse_dimacs(text)
+
+    def test_blank_and_comment_lines_skipped(self):
+        text = "  \n\t\n   c indented\ncfoo\np edge 3 3\n \t \ne 1 2\n\tc x\ne 1 3\nccc\ne 2 3\n"
+        assert parse_dimacs(text) == parse_dimacs(K3_TEXT)
 
 
 class TestWriteDimacs:
@@ -342,6 +382,49 @@ class TestLabelComposition:
             adj[vstar] = merged
         edges = [(a, b) for a in adj for b in adj[a] if a < b]
         assert out == expected_subgraph(parent, adj, edges)
+
+    @given(parent=labelled_parents(), data=st.data(), seed=st.integers(0, 2**32))
+    def test_contract_random_edges_draws_like_an_edge_list(self, parent, data, seed):
+        m = data.draw(st.integers(0, parent.num_vertices - 1))
+        try:
+            expected = edge_list_contraction(parent, m, seed)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                contract_random_edges(parent, m, seed)
+        else:
+            out, record = contract_random_edges(parent, m, seed)
+            assert (out, record.steps) == expected
+
+    def test_contract_with_no_edge_left(self):
+        # Two disjoint edges and two isolated vertices: two contractions use
+        # up every edge, so the third finds none.
+        g = Graph(6, [(0, 1), (2, 3)])
+        out, record = contract_random_edges(g, 2, 0)
+        assert (out, record.steps) == edge_list_contraction(g, 2, 0)
+        assert sorted(record.steps) == [(0, 1, 0), (2, 3, 2)] and out.num_edges == 0
+        with pytest.raises(ValueError, match="no edge available to contract"):
+            contract_random_edges(g, 3, 0)
+
+
+def edge_list_contraction(g, m, seed):
+    """Reference contraction: draws from the sorted (u, v) edge list, rebuilt every step."""
+    rng = random.Random(seed)
+    adj = {v: set(g.neighbors(v)) for v in g.vertices()}
+    steps = []
+    for _ in range(m):
+        edge_list = [(u, v) for u in sorted(adj) for v in sorted(adj[u]) if v > u]
+        if not edge_list:
+            raise ValueError("no edge available to contract")
+        u, v = edge_list[rng.randrange(len(edge_list))]
+        merged = (adj[u] | adj[v]) - {u, v}
+        for x in adj.pop(v):
+            adj[x].discard(v)
+        adj[u] = merged
+        for x in merged:
+            adj[x].add(u)
+        steps.append((u, v, u))
+    edges = [(a, b) for a in adj for b in adj[a] if a < b]
+    return expected_subgraph(g, adj, edges), tuple(steps)
 
 
 class TestCommonNeighbors:

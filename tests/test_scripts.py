@@ -66,6 +66,6 @@ def test_fingerprint_prints_one_digest_per_instance():
         lines = [line.split() for line in done.stdout.splitlines()]
         assert [int(fields[0]) for fields in lines] == list(range(count)), workload
         for fields in lines:
-            assert len(fields) == 5 and len(fields[4]) == 16
+            assert len(fields) == 6 and len(fields[4]) == len(fields[5]) == 16
             assert int(fields[1]) >= 1 and int(fields[2]) >= 1
         assert run_script("fingerprint.py", args).stdout == done.stdout, workload
