@@ -14,9 +14,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph, graph_from_adjacency
-
-_MAX_VERTICES = 5_000_000
+from .graphs import MAX_VERTICES, Graph, graph_from_adjacency
 
 VERTICAL = 0
 HORIZONTAL = 1
@@ -56,7 +54,7 @@ def qubit_index(spec: ChimeraSpec, row: int, col: int, orientation: int, shore_i
 
 def chimera_graph(spec: ChimeraSpec) -> Graph:
     """Build C(rows, cols, shore)."""
-    if spec.num_vertices > _MAX_VERTICES:
+    if spec.num_vertices > MAX_VERTICES:
         raise ValueError(f"refusing to build {spec.num_vertices} vertices")
     m, n, l = spec.rows, spec.cols, spec.shore
     adj: list[set[int]] = [set() for _ in range(spec.num_vertices)]

@@ -23,6 +23,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+# The most vertices a parsed or generated graph may have. One adjacency
+# set per vertex is allocated up front, so larger counts are refused
+# before any allocation instead of risking an out-of-memory kill.
+MAX_VERTICES = 5_000_000
+
 
 class DimacsError(ValueError):
     """Malformed DIMACS input. The message names the offending line."""
@@ -215,6 +220,8 @@ def parse_dimacs(text: str) -> Graph:
                 raise DimacsError(f"line {lineno}: non-integer counts in problem line") from None
             if n < 0:
                 raise DimacsError(f"line {lineno}: negative vertex count")
+            if n > MAX_VERTICES:
+                raise DimacsError(f"line {lineno}: vertex count {n} above the limit {MAX_VERTICES}")
             p_line = lineno
         elif parts[0] == "e":
             if n is None:
@@ -274,6 +281,8 @@ def gnp_random(n: int, p: float, seed: int) -> Graph:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0, 1]")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} above the limit {MAX_VERTICES}")
     if p == 0.0 or n < 2:
         return Graph(n)
     if p == 1.0:

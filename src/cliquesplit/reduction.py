@@ -7,11 +7,12 @@ more. ``k_core`` peels low-degree vertices; ``reduce_graph`` additionally
 strips edges around a vertex whose endpoints share too few neighbors to
 sit inside a bigger clique, then peels again.
 
-``Subproblem`` is the reduction engine over adjacency sets: ``k_core``,
-``reduce_graph`` and the split driver's root-side subproblems (the input
-core, its CH-partition parts, a graph that fits whole) peel and prune
-through it. ``BitsetSubproblem`` runs the same reduce pass over one
-adjacency bitmask per vertex; every neighborhood subproblem the split
+``Subproblem`` is the reduction engine over adjacency sets. It holds only
+root-side items: ``k_core``, ``reduce_graph`` and the split driver's
+input core, CH-partition parts and a graph that fits whole peel and prune
+through it. Its degree index has one writer, and its degree queries are
+scans of that index. ``BitsetSubproblem`` runs the same reduce pass over
+one adjacency bitmask per vertex; every neighborhood subproblem the split
 driver cuts is one, and they reach the same subgraphs and draw the same
 random numbers as the set engine would.
 """
@@ -39,14 +40,14 @@ class Subproblem:
     ``adj`` is the subgraph. Two indexes over it, the sorted id list
     ``ids`` and the vertices of each degree ``by_degree`` (a list of
     vertex sets indexed by degree), are each built on first use and from
-    then on kept synchronized under edge and vertex removals, so each
-    driver iteration (vertex choice, uniform random pick, clique check)
-    costs local work instead of a full scan, while a subgraph that is
-    peeled empty or solved whole never builds either. Degrees only ever
-    decrease here.
+    then on kept synchronized under vertex and edge removals, while a
+    subgraph that is peeled empty or solved whole never builds either.
+    ``_refile`` is the only writer of ``by_degree`` after the build, and
+    the degree queries only read it: each is one scan over the degrees.
+    Degrees only ever decrease here.
     """
 
-    __slots__ = ("adj", "anchor", "_ids", "_by_degree", "core_bound", "_min_deg")
+    __slots__ = ("adj", "anchor", "_ids", "_by_degree", "core_bound")
 
     def __init__(self, adj: dict[int, set[int]], anchor: frozenset[int] = frozenset()):
         self.adj = adj
@@ -54,7 +55,6 @@ class Subproblem:
         self._ids: list[int] | None = None
         self._by_degree: list[set[int]] | None = None
         self.core_bound = -1  # largest k this subgraph is known to be a k-core of
-        self._min_deg = 0
 
     @classmethod
     def from_graph(cls, g: Graph) -> "Subproblem":
@@ -81,49 +81,31 @@ class Subproblem:
                 self._by_degree[len(nbrs)].add(v)
         return self._by_degree
 
-    def _degree_drop(self, v: int, new_degree: int) -> None:
-        self._by_degree[new_degree + 1].discard(v)
-        self._by_degree[new_degree].add(v)
-        if new_degree < self._min_deg:
-            self._min_deg = new_degree
+    def _refile(self, v: int, old: int, new: int | None) -> None:
+        """Move ``v`` from degree ``old`` to degree ``new`` in the built
+        index; ``None`` drops it from the index."""
+        self._by_degree[old].remove(v)
+        if new is not None:
+            self._by_degree[new].add(v)
 
     def min_degree(self) -> int:
-        by_degree = self.by_degree
-        d = self._min_deg
-        while d < len(by_degree) and not by_degree[d]:
-            d += 1
-        self._min_deg = d
-        return d
+        return next((d for d, vs in enumerate(self.by_degree) if vs), 0)
 
     def max_degree(self) -> int:
         by_degree = self.by_degree
-        while len(by_degree) > 1 and not by_degree[-1]:
-            by_degree.pop()
-        return len(by_degree) - 1
+        return next((d for d in range(len(by_degree) - 1, 0, -1) if by_degree[d]), 0)
 
     def median_degree(self) -> int:
         """Lower median of the degree sequence."""
-        target = (len(self.adj) - 1) // 2
-        seen = 0
-        for d in range(self.min_degree(), self.max_degree() + 1):
-            seen += len(self.by_degree[d])
-            if seen > target:
+        rank = (len(self.adj) - 1) // 2
+        for d, vs in enumerate(self.by_degree):
+            rank -= len(vs)
+            if rank < 0:
                 return d
-        return self.max_degree()
+        return 0
 
     def smallest_id_of_degree(self, degree: int) -> int:
         return min(self.by_degree[degree])
-
-    def random_vertex(self, rng: random.Random) -> int:
-        ids = self.ids
-        return ids[rng.randrange(len(ids))]
-
-    def remove_edge(self, u: int, v: int) -> None:
-        self.adj[u].discard(v)
-        self.adj[v].discard(u)
-        if self._by_degree is not None:
-            self._degree_drop(u, len(self.adj[u]))
-            self._degree_drop(v, len(self.adj[v]))
 
     def remove_vertex(self, v: int, below: int = 0) -> list[int]:
         """Delete ``v`` and its edges.
@@ -133,7 +115,7 @@ class Subproblem:
         """
         adj = self.adj
         nbrs = adj.pop(v)
-        by_degree = self._by_degree
+        indexed = self._by_degree is not None
         fell = below - 1
         fallen = []
         for u in nbrs:
@@ -142,10 +124,10 @@ class Subproblem:
             d = len(su)
             if d == fell:
                 fallen.append(u)
-            if by_degree is not None:
-                self._degree_drop(u, d)
-        if by_degree is not None:
-            by_degree[len(nbrs)].discard(v)
+            if indexed:
+                self._refile(u, d + 1, d)
+        if indexed:
+            self._refile(v, len(nbrs), None)
         if self._ids is not None:
             self._ids.pop(bisect_left(self._ids, v))
         return fallen
@@ -157,8 +139,8 @@ class Subproblem:
         Inside a clique of size c every edge has at least c - 2 common
         neighbors, so these edges cannot lie in any clique beating the
         bound. The scan finishes before any edge is removed (two-phase),
-        so every test sees the input neighbor sets. Returns the endpoints
-        of the dropped edges, possibly repeated; empty when none dropped.
+        so every test sees the input neighbor sets. Returns each endpoint
+        of a dropped edge once; empty when none dropped.
         """
         threshold = lower_bound - 2
         adj = self.adj
@@ -166,15 +148,21 @@ class Subproblem:
         for v in centres:
             nv = adj[v]
             doomed.append((v, [n for n in nv if len(nv & adj[n]) < threshold]))
-        touched: list[int] = []
+        degree_before: dict[int, int] = {}  # each endpoint's degree before the prune
         for v, dropped in doomed:
             nv = adj[v]
             dropped = [n for n in dropped if n in nv]  # an edge found from both ends goes once
+            if not dropped:
+                continue
+            for u in (v, *dropped):
+                degree_before.setdefault(u, len(adj[u]))
             for n in dropped:
-                self.remove_edge(v, n)
-            if dropped:
-                touched += [v, *dropped]
-        return touched
+                nv.discard(n)
+                adj[n].discard(v)
+        if self._by_degree is not None:
+            for u, d in degree_before.items():
+                self._refile(u, d, len(adj[u]))
+        return list(degree_before)
 
     def reduce(
         self,
@@ -197,7 +185,8 @@ class Subproblem:
             peel_to_core(self, lower_bound)
         self.core_bound = lower_bound
         if self.adj:
-            centres = self.ids if prune_all_vertices else [self.random_vertex(rng)]
+            ids = self.ids
+            centres = ids if prune_all_vertices else [ids[rng.randrange(len(ids))]]
             affected = self.prune_low_overlap_edges(centres, lower_bound)
             if affected:
                 peel_to_core(self, lower_bound, candidates=affected)

@@ -20,9 +20,11 @@ from cliquesplit import (
     reduce_graph,
     write_dimacs,
 )
-from cliquesplit.graphs import bit_positions, graph_from_adjacency, graph_from_masks
+from cliquesplit.graphs import MAX_VERTICES, bit_positions, graph_from_adjacency, graph_from_masks
 
 from conftest import brute_max_clique, complete_graph, path_graph, random_graphs, wheel5
+
+OVER_CAP = MAX_VERTICES + 1  # inputs this large are refused before anything is allocated
 
 K3_TEXT = "p edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
 
@@ -104,6 +106,8 @@ class TestParseDimacs:
             ("p edge x 3\n", "line 1: non-integer counts in problem line"),
             ("p col 3 3.0\n", "line 1: non-integer counts in problem line"),
             ("p edge -1 0\n", "line 1: negative vertex count"),
+            (f"c\np edge {OVER_CAP} 0\n", f"line 2: vertex count {OVER_CAP} above the limit {MAX_VERTICES}"),
+            (f"p col {OVER_CAP} 1\ne 1 2\n", f"line 1: vertex count {OVER_CAP} above the limit {MAX_VERTICES}"),
             ("e 1 2\np edge 2 1\n", "line 1: edge before problem line"),
             ("p edge 2 1\ne 1\n", "line 2: expected 'e u v'"),
             ("p edge 2 1\ne 1 b\n", "line 2: non-integer edge endpoints"),
@@ -119,8 +123,8 @@ class TestParseDimacs:
         ],
         ids=[
             "duplicate-p", "unknown-format", "short-p", "count-not-int", "count-float",
-            "negative-n", "edge-before-p", "short-e", "endpoint-not-int", "endpoint-float",
-            "endpoint-above-n", "endpoint-zero", "self-loop", "lines-counted-after-skips",
+            "negative-n", "n-above-cap", "col-n-above-cap", "edge-before-p", "short-e", "endpoint-not-int",
+            "endpoint-float", "endpoint-above-n", "endpoint-zero", "self-loop", "lines-counted-after-skips",
             "unrecognized-capped", "unrecognized-stripped", "missing-p", "count-mismatch",
         ],
     )
@@ -206,6 +210,10 @@ class TestGnpRandom:
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             gnp_random(5, 1.5, 0)
+
+    def test_rejects_a_vertex_count_above_the_cap_before_allocating(self):
+        with pytest.raises(ValueError, match=f"^vertex count {OVER_CAP} above the limit {MAX_VERTICES}$"):
+            gnp_random(OVER_CAP, 0.5, 0)
 
     def test_edge_count_within_three_sigma(self):
         # 990 pairs at p = 0.5: mean 495, sd ~ 15.7; average 100 seeds.

@@ -132,18 +132,19 @@ class TestReduceGraph:
 
 
 def assert_degree_index_matches(sub):
-    """Every degree query answers what a scan of ``sub.adj`` gives."""
+    """Every degree query answers what a scan of ``sub.adj`` gives, and
+    none of them changes the index."""
     degree = {v: len(nbrs) for v, nbrs in sub.adj.items()}
     assert sub.size == len(degree)
     assert sub.ids == sorted(degree)
-    if not degree:
-        return
-    ordered = sorted(degree.values())
+    index = [set(vs) for vs in sub.by_degree]
+    ordered = sorted(degree.values()) or [0]  # an empty subproblem answers 0
     assert sub.min_degree() == ordered[0]
     assert sub.max_degree() == ordered[-1]
     assert sub.median_degree() == ordered[(len(ordered) - 1) // 2]
-    for d in set(ordered):
+    for d in set(degree.values()):
         assert sub.smallest_id_of_degree(d) == min(v for v in degree if degree[v] == d)
+    assert sub.by_degree == index
 
 
 class TestSubproblemDegreeIndex:
@@ -167,11 +168,18 @@ class TestSubproblemDegreeIndex:
                 assert (sub._ids, sub._by_degree) == (None, None)  # no step built an index
                 assert_degree_index_matches(sub)
             vertices = sorted(sub.adj)
-            edges = [(u, v) for u in vertices for v in sub.adj[u] if u < v]
-            steps = ["peel"] + ["vertex"] * bool(vertices) + ["edge"] * bool(edges)
+            steps = ["peel"] + ["vertex", "prune"] * bool(vertices)
             step = data.draw(st.sampled_from(steps))
-            if step == "edge":
-                sub.remove_edge(*data.draw(st.sampled_from(edges)))
+            if step == "prune":
+                centres = data.draw(st.lists(st.sampled_from(vertices), min_size=1, unique=True))
+                bound = data.draw(st.integers(min_value=0, max_value=10))
+                before = {v: set(nbrs) for v, nbrs in sub.adj.items()}
+                doomed = {
+                    frozenset((v, n)) for v in centres for n in before[v] if len(before[v] & before[n]) < bound - 2
+                }
+                touched = sub.prune_low_overlap_edges(centres, bound)
+                assert sub.adj == {v: {n for n in nbrs if {v, n} not in doomed} for v, nbrs in before.items()}
+                assert len(touched) == len(set(touched)) and set(touched) == set().union(*doomed)
             elif step == "vertex":
                 v = data.draw(st.sampled_from(vertices))
                 below = data.draw(st.integers(min_value=0, max_value=8))

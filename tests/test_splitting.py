@@ -91,11 +91,14 @@ class TestChooseSplitVertex:
 
     def test_follows_removals(self):
         sub = Subproblem.from_graph(wheel5())
-        sub.remove_vertex(0)  # the rim 4-cycle is left, every degree 2
-        assert _choose_split_vertex(sub, vertex_limit=10) == 1
-        sub.remove_edge(1, 2)
-        assert _choose_split_vertex(sub, vertex_limit=10) == 3  # degree 2: vertices 3 and 4
-        assert _choose_split_vertex(sub, vertex_limit=1) == 1  # median 1: vertices 1 and 2
+        assert _choose_split_vertex(sub, vertex_limit=3) == 1  # lower median 3, smallest id
+        # At bound 4, the rim edges (1, 2) and (1, 4) share only the hub.
+        assert sorted(sub.prune_low_overlap_edges([1], 4)) == [1, 2, 4]
+        assert _choose_split_vertex(sub, vertex_limit=3) == 2  # median 2: vertices 2 and 4
+        assert _choose_split_vertex(sub, vertex_limit=1) == 1  # minimum 1
+        sub.remove_vertex(0)  # degrees 0, 1, 2, 1 on vertices 1..4
+        assert _choose_split_vertex(sub, vertex_limit=10) == 3
+        assert _choose_split_vertex(sub, vertex_limit=1) == 2  # median 1: vertices 2 and 4
 
 
 class TestSplitSolve:
