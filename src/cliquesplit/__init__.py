@@ -1,12 +1,13 @@
 """Maximum-clique solving by decomposition into bounded-size subproblems.
 
 Graphs too large for a given subsolver are shrunk by clique-preserving
-k-core and edge reductions, divided by CH-partitioning, and split vertex
-by vertex until every piece fits; exact recombination rules make the
-final clique optimal whenever the subsolver is exact. Subsolvers include
-an exact branch-and-bound oracle, two simulated annealers, a local-search
-descent, and a pluggable sampler interface, plus the QUBO formulation
-they share and Chimera-topology benchmark generators.
+k-core and edge reductions and split vertex by vertex until every piece
+fits; exact recombination rules make the final clique optimal whenever
+the subsolver is exact. CH-partitioning and its recombination are
+library functions beside the split driver. Subsolvers include an exact
+branch-and-bound oracle, two simulated annealers, a local-search descent,
+and a pluggable sampler interface, plus the QUBO formulation they share
+and Chimera-topology benchmark generators.
 """
 
 from .graphs import (

@@ -46,7 +46,6 @@ class BenchConfig:
     path: str = ""
     solver: str = "exact"
     vertex_limit: int = 45
-    parts: int = 1
     seeds: tuple[int, ...] = (0,)
     repetitions: int = 1
     per_call_time_model_s: float = 0.15
@@ -60,8 +59,6 @@ class BenchConfig:
             raise ValueError("vertex_limit must be >= 1")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.parts < 1:
-            raise ValueError("parts must be >= 1")
         if self.per_call_time_model_s < 0:
             raise ValueError("per_call_time_model_s must be non-negative")
         if not self.seeds:
@@ -128,9 +125,7 @@ def run_experiment(cfg: BenchConfig, solver_config: SolverConfig | None = None) 
                 solver_seconds += time.perf_counter() - begin
                 return result
 
-            split_cfg = SplitConfig(
-                vertex_limit=cfg.vertex_limit, seed=seed, parts=cfg.parts, solver=cfg.solver
-            )
+            split_cfg = SplitConfig(vertex_limit=cfg.vertex_limit, seed=seed, solver=cfg.solver)
             begin = time.perf_counter()
             result = split_solve(g, split_cfg, solver=timed)
             total = time.perf_counter() - begin
@@ -197,7 +192,6 @@ _INT_KEYS = {
     "word_length",
     "min_distance",
     "vertex_limit",
-    "parts",
     "repetitions",
 }
 _FLOAT_KEYS = {"p", "avg_degree", "per_call_time_model_s"}

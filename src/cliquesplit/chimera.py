@@ -14,7 +14,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import MAX_VERTICES, Graph, graph_from_adjacency
+from .graphs import MAX_EDGES, MAX_VERTICES, Graph, graph_from_adjacency
 
 VERTICAL = 0
 HORIZONTAL = 1
@@ -56,6 +56,8 @@ def chimera_graph(spec: ChimeraSpec) -> Graph:
     """Build C(rows, cols, shore)."""
     if spec.num_vertices > MAX_VERTICES:
         raise ValueError(f"refusing to build {spec.num_vertices} vertices")
+    if spec.num_edges > MAX_EDGES:
+        raise ValueError(f"edge count {spec.num_edges} above the limit {MAX_EDGES}")
     m, n, l = spec.rows, spec.cols, spec.shore
     adj: list[set[int]] = [set() for _ in range(spec.num_vertices)]
 

@@ -35,17 +35,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _parts(text: str) -> int:
-    """``--parts``: a CH-partition part count of at least 1 (1: no partition)."""
-    try:
-        parts = int(text)
-    except ValueError:
-        parts = 0
-    if parts < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return parts
-
-
 def _read_graph(path: str) -> Graph:
     if path == "-":
         return parse_dimacs(sys.stdin.read())
@@ -112,7 +101,6 @@ def build_parser() -> _Parser:
     split.add_argument("--vertex-limit", type=int, required=True)
     split.add_argument("--solver", choices=SOLVER_NAMES, default="exact")
     split.add_argument("--seed", type=int, default=0)
-    split.add_argument("--parts", type=_parts, default=1, help="CH-partition part count (1: no partition)")
     split.add_argument("--out", default=None)
 
     solve = sub.add_parser("solve", help="run one subproblem solver directly")
@@ -166,12 +154,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_split(args) -> int:
     g = _read_graph(args.input)
-    cfg = SplitConfig(
-        vertex_limit=args.vertex_limit,
-        seed=args.seed,
-        parts=args.parts,
-        solver=args.solver,
-    )
+    cfg = SplitConfig(vertex_limit=args.vertex_limit, seed=args.seed, solver=args.solver)
     begin = time.perf_counter()
     result = split_solve(g, cfg)
     wall = time.perf_counter() - begin

@@ -27,6 +27,9 @@ from typing import Iterable, Iterator
 # set per vertex is allocated up front, so larger counts are refused
 # before any allocation instead of risking an out-of-memory kill.
 MAX_VERTICES = 5_000_000
+# The most edges a generator may build, checked the same way from the
+# generator's closed-form (for G(n, p), expected) edge count.
+MAX_EDGES = 5_000_000
 
 
 class DimacsError(ValueError):
@@ -283,6 +286,9 @@ def gnp_random(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"edge probability {p} outside [0, 1]")
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} above the limit {MAX_VERTICES}")
+    expected_edges = p * n * (n - 1) / 2
+    if expected_edges > MAX_EDGES:
+        raise ValueError(f"expected edge count {expected_edges:.0f} above the limit {MAX_EDGES}")
     if p == 0.0 or n < 2:
         return Graph(n)
     if p == 1.0:
@@ -318,6 +324,10 @@ def hamming_graph(word_length: int, min_distance: int) -> Graph:
     if word_length > 20:
         raise ValueError("word_length > 20 rejected (2^word_length vertices)")
     n = 1 << word_length
+    # Each mask of at least min_distance bits pairs the n words into n / 2 edges.
+    edges = (n // 2) * sum(math.comb(word_length, d) for d in range(min_distance, word_length + 1))
+    if edges > MAX_EDGES:
+        raise ValueError(f"edge count {edges} above the limit {MAX_EDGES}")
     adj: list[set[int]] = [set() for _ in range(n)]
     for mask in range(1, n):
         if mask.bit_count() < min_distance:

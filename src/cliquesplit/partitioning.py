@@ -242,8 +242,7 @@ def auto_ch_partition(g: Graph, vertex_limit: int, seed: int = 0) -> CHPartition
     saves. The boundary-refinement pass only runs on candidates that
     survive that probe. Ties keep the smaller s.
 
-    ``split_solve`` does not run this search; to decompose with its result,
-    pass its ``num_parts`` as ``SplitConfig.parts``.
+    ``split_solve`` neither runs this search nor takes a partition.
     """
     n = g.num_vertices
     best = trivial_partition(g)

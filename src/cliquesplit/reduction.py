@@ -9,10 +9,10 @@ sit inside a bigger clique, then peels again.
 
 ``Subproblem`` is the reduction engine over adjacency sets. It holds only
 root-side items: ``k_core``, ``reduce_graph`` and the split driver's
-input core, CH-partition parts and a graph that fits whole peel and prune
-through it. Its degree index has one writer, and its degree queries are
-scans of that index. ``BitsetSubproblem`` runs the same reduce pass over
-one adjacency bitmask per vertex; every neighborhood subproblem the split
+input, peeled to its core or fitting whole, peel and prune through it.
+Its degree index has one writer, and its degree queries are scans of
+that index. ``BitsetSubproblem`` runs the same reduce pass over one
+adjacency bitmask per vertex; every neighborhood subproblem the split
 driver cuts is one, and they reach the same subgraphs and draw the same
 random numbers as the set engine would.
 """

@@ -1,10 +1,10 @@
 """Worklist driver decomposing maximum clique into bounded-size solves.
 
-The pipeline: extract the k-core at the incumbent clique size and queue it,
-CH-partitioned into its parts only when ``parts >= 2`` is given, then
-repeatedly pop the largest queued subgraph and either solve it (when it
-fits ``vertex_limit``) or split it at a chosen vertex v into the remainder
-and the neighborhood subgraph. Each child is reduced against the bound
+The pipeline: queue the input, first peeled to its k-core at the greedy
+clique size when it exceeds ``vertex_limit``, then repeatedly pop the
+largest queued subgraph and either solve it (when it fits
+``vertex_limit``) or split it at a chosen vertex v into the remainder and
+the neighborhood subgraph. Each child is reduced against the bound
 held before the split, then solved if it fits and queued otherwise.
 
 One driver object, ``_Driver``, owns the worklist, the incumbent, the
@@ -15,14 +15,13 @@ subproblem.
 
 Two engines serve the driver through the same steps (``split``,
 ``reduce_and_dispatch``, ``solve`` and the one selector
-``_choose_split_vertex``). The root side, which is the input's core, its
-CH-partition parts and a graph that fits whole, is a set-based
-``reduction.Subproblem``. Every neighborhood subgraph is a
-``reduction.BitsetSubproblem``: one int mask per vertex over the sorted
-ids of N(v) when cut from the root, and over its parent's index space,
-with a copy of the parent's masks, when cut from another bitset item.
-Both engines take the same decisions, so results do not depend on which
-one holds an item.
+``_choose_split_vertex``). The root side, which is the input's core or a
+graph that fits whole, is a set-based ``reduction.Subproblem``. Every
+neighborhood subgraph is a ``reduction.BitsetSubproblem``: one int mask
+per vertex over the sorted ids of N(v) when cut from the root, and over
+its parent's index space, with a copy of the parent's masks, when cut
+from another bitset item. Both engines take the same decisions, so
+results do not depend on which one holds an item.
 
 Queue items carry an *anchor*: vertices adjacent to everything in the
 item (accumulated split vertices), so a clique of size k inside the item
@@ -41,9 +40,9 @@ from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from . import solvers
-# perfbench patches peel_to_core, ch_partition, graph_from_adjacency here by name. It also
-# looks up auto_ch_partition here, which split_solve no longer calls: the import stays only
-# until the benchmark's tracer drops that entry.
+# perfbench patches peel_to_core and graph_from_adjacency here by name. Its tracer alone
+# resolves auto_ch_partition and ch_partition here, which split_solve never calls; that
+# import goes with the benchmark revision that drops both entries.
 from .graphs import CliqueResult, CliqueStats, Graph, clique_result, graph_from_adjacency
 from .partitioning import auto_ch_partition, ch_partition  # noqa: F401
 from .reduction import BitsetSubproblem, Subproblem, peel_to_core
@@ -52,25 +51,16 @@ from .solvers import SolverConfig, SolverError, SubproblemSolveError
 
 @dataclass(frozen=True)
 class SplitConfig:
-    """Decomposition settings.
-
-    ``parts`` is the CH-partition part count of the reduced root; None
-    (the default) and 1 both mean no partition. The automatic search,
-    ``partitioning.auto_ch_partition``, is not run by ``split_solve``;
-    call it directly and pass its part count to use it.
-    """
+    """Decomposition settings."""
 
     vertex_limit: int
     seed: int = 0
-    parts: int | None = None
     solver: str = "exact"
     solver_config: SolverConfig | None = None
 
     def __post_init__(self):
         if self.vertex_limit < 1:
             raise ValueError("vertex_limit must be >= 1")
-        if self.parts is not None and self.parts < 1:
-            raise ValueError("parts must be >= 1 when given")
 
 
 Item = Subproblem | BitsetSubproblem
@@ -183,36 +173,16 @@ def split_solve(
     """
     if solver is None:
         solver = solvers.get_subsolver(cfg.solver, cfg.solver_config)
-    n = g.num_vertices
-    if n == 0:
-        return CliqueResult(frozenset(), 0, cfg.solver)
     driver = _Driver(cfg, solver)
-    if n <= cfg.vertex_limit:
-        driver.solve(Subproblem.from_graph(g))
-    else:
+    root = Subproblem.from_graph(g)
+    if g.num_vertices > cfg.vertex_limit:
         driver.offer(solvers.greedy_clique(g))
-        root = Subproblem.from_graph(g)
         driver.reductions += 1
         peel_to_core(root, driver.lower_bound)
-        if root.size:
-            for part in _partition(root, cfg):
-                driver.queue(part)
-        driver.run()
+    if root.size:
+        driver.queue(root)
+    driver.run()
     return clique_result(g, driver.incumbent, cfg.solver, CliqueStats(driver.calls, driver.reductions))
-
-
-def _partition(root: Subproblem, cfg: SplitConfig) -> list[Subproblem]:
-    """CH-partition the reduced graph into ``cfg.parts`` nonempty parts when
-    ``cfg.parts >= 2``; otherwise, or when one part results, ``root`` itself."""
-    if cfg.parts in (None, 1) or root.size == 1:
-        return [root]
-    adj = root.adj
-    compact = graph_from_adjacency(adj)
-    partition = ch_partition(compact, min(cfg.parts, compact.num_vertices), cfg.seed)
-    if partition.num_parts == 1:
-        return [root]
-    parts = [{compact.label(v) for v in partition.part_vertices(i)} for i in range(partition.num_parts)]
-    return [Subproblem({v: adj[v] & part for v in part}) for part in parts]
 
 
 def sweep_vertex_limit(
@@ -221,21 +191,16 @@ def sweep_vertex_limit(
     seed: int = 0,
     solver: str = "exact",
     solver_config: SolverConfig | None = None,
-    parts: int | None = None,
 ) -> list[tuple[int, int]]:
     """Run split_solve once per vertex limit with the same seed.
 
-    ``parts`` goes to every ``SplitConfig``; the default None, like 1,
-    solves without a CH-partition. Returns (limit, subproblems solved)
-    pairs; limits must be ascending.
+    Returns (limit, subproblems solved) pairs; limits must be ascending.
     """
     if list(limits) != sorted(limits):
         raise ValueError("limits must be ascending")
     table: list[tuple[int, int]] = []
     for limit in limits:
-        cfg = SplitConfig(
-            vertex_limit=limit, seed=seed, parts=parts, solver=solver, solver_config=solver_config
-        )
+        cfg = SplitConfig(vertex_limit=limit, seed=seed, solver=solver, solver_config=solver_config)
         result = split_solve(g, cfg)
         table.append((limit, result.stats.subproblems_solved))
     return table

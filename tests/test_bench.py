@@ -140,7 +140,6 @@ class TestParseConfig:
         seeds = 1, 2, 3
         repetitions = 2
         per_call_time_model_s = 0.15
-        parts = 4
         """
         cfg = parse_config(text)
         assert cfg.experiment == "fig4"
@@ -148,16 +147,6 @@ class TestParseConfig:
         assert cfg.p == 0.25
         assert cfg.seeds == (1, 2, 3)
         assert cfg.repetitions == 2
-        assert cfg.parts == 4
-        assert parse_config("n = 40\n").parts == 1
-
-    def test_parts_auto_is_rejected_with_its_line(self):
-        with pytest.raises(ValueError, match="line 2: .*'auto'"):
-            parse_config("n = 40\nparts = auto\n")
-
-    def test_parts_zero_is_rejected_before_any_run(self):
-        with pytest.raises(ValueError, match="parts must be >= 1"):
-            parse_config("n = 40\nparts = 0\n")
 
     def test_vertex_limit_zero_is_rejected_before_any_run(self):
         with pytest.raises(ValueError, match="vertex_limit must be >= 1"):

@@ -12,6 +12,7 @@ from cliquesplit import (
     exact_max_clique,
     two_coloring,
 )
+from cliquesplit.graphs import MAX_EDGES
 
 from conftest import cycle_graph
 
@@ -58,6 +59,11 @@ class TestChimeraGraph:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             ChimeraSpec(0, 1, 1)
+
+    def test_rejects_an_edge_count_above_the_cap_before_allocating(self):
+        # 4474 vertices pass the vertex cap; the one cell's 2237^2 edges do not.
+        with pytest.raises(ValueError, match=f"^edge count 5004169 above the limit {MAX_EDGES}$"):
+            chimera_graph(ChimeraSpec(1, 1, 2237))
 
     def test_per_cell_complement_is_two_cliques(self):
         cell = chimera_graph(ChimeraSpec(1, 1, 4))

@@ -1,10 +1,12 @@
 import gc
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 
 from cliquesplit import parse_dimacs, parse_qubo
-from cliquesplit.cli import main
+from cliquesplit.cli import build_parser, main
 
 K4_TEXT = "p edge 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n"
 
@@ -82,21 +84,13 @@ class TestSplit:
         assert fields[1:4] == ["4", "6", "2"]
         assert fields[5] == "4"
 
-    @pytest.mark.parametrize("parts", ["x", "1.5", "0", "auto"])
-    def test_bad_parts_is_a_usage_error_naming_the_option(self, tmp_path, capsys, parts):
-        src = tmp_path / "in.clq"
-        src.write_text(K4_TEXT)
-        code, out, err = run_cli(["split", str(src), "--vertex-limit", "2", "--parts", parts], capsys)
-        assert (code, out) == (1, "")
-        assert "argument --parts: expected an integer >= 1" in err
-        assert "invalid literal" not in err
-
-    def test_explicit_parts(self, tmp_path, capsys):
+    def test_parts_flag_is_gone(self, tmp_path, capsys):
+        # split_solve no longer CH-partitions, so split takes no part count.
         src = tmp_path / "in.clq"
         src.write_text(K4_TEXT)
         code, out, err = run_cli(["split", str(src), "--vertex-limit", "2", "--parts", "2"], capsys)
-        assert code == 0, err
-        assert out.strip().splitlines()[1].split(",")[5] == "4"
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --parts 2" in err
 
     def test_p_col_header(self, tmp_path, capsys):
         # The DIMACS clique benchmark files use "p col N M".
@@ -209,3 +203,20 @@ class TestBench:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("nonsense = 1\n")
         assert main(["bench", str(cfg)]) == 1
+
+
+def test_readme_commands_parse():
+    # Every command of README's CLI block, comment removed, is one the parser
+    # accepts; parsing runs nothing.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        assert argv[0] == "cliquesplit"
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")

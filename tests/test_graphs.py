@@ -20,7 +20,7 @@ from cliquesplit import (
     reduce_graph,
     write_dimacs,
 )
-from cliquesplit.graphs import MAX_VERTICES, bit_positions, graph_from_adjacency, graph_from_masks
+from cliquesplit.graphs import MAX_EDGES, MAX_VERTICES, bit_positions, graph_from_adjacency, graph_from_masks
 
 from conftest import brute_max_clique, complete_graph, path_graph, random_graphs, wheel5
 
@@ -215,6 +215,11 @@ class TestGnpRandom:
         with pytest.raises(ValueError, match=f"^vertex count {OVER_CAP} above the limit {MAX_VERTICES}$"):
             gnp_random(OVER_CAP, 0.5, 0)
 
+    @pytest.mark.parametrize("n, p, expected", [(100_000, 1.0, 4_999_950_000), (4_000, 0.7, 5_598_600)])
+    def test_rejects_an_expected_edge_count_above_the_cap_before_allocating(self, n, p, expected):
+        with pytest.raises(ValueError, match=f"^expected edge count {expected} above the limit {MAX_EDGES}$"):
+            gnp_random(n, p, 0)
+
     def test_edge_count_within_three_sigma(self):
         # 990 pairs at p = 0.5: mean 495, sd ~ 15.7; average 100 seeds.
         counts = [gnp_random(45, 0.5, s).num_edges for s in range(100)]
@@ -240,6 +245,11 @@ class TestHammingGraph:
             hamming_graph(21, 2)
         with pytest.raises(ValueError):
             hamming_graph(0, 1)
+
+    @pytest.mark.parametrize("word_length, edges", [(12, 8_386_560), (13, 33_550_336), (20, 549_755_289_600)])
+    def test_rejects_an_edge_count_above_the_cap_before_allocating(self, word_length, edges):
+        with pytest.raises(ValueError, match=f"^edge count {edges} above the limit {MAX_EDGES}$"):
+            hamming_graph(word_length, 1)
 
     def test_distance_two_on_four_bits(self):
         from cliquesplit import exact_max_clique

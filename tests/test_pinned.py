@@ -12,9 +12,10 @@ in lockstep and polishing them in one batch must not change them. The
 ``sa_qubo`` and ``sa_clique`` figures were recorded while each move still
 called ``math.exp``; deciding every move by comparing its energy change
 with a precomputed threshold ``T * -ln(u)`` must not change them. The
-partitioned and whole-graph ``split_solve`` figures were recorded while
-the driver's solve-or-queue choice was still spread over four helpers, and
-while a graph that fits the limit still bypassed the driver; routing every
+contracted-Chimera and whole-graph ``split_solve`` figures were recorded
+while the driver's solve-or-queue choice was still spread over four
+helpers, while a graph that fits the limit still bypassed the driver, and
+while the driver could still CH-partition its root; routing every
 subproblem through one solve path must not change them.
 """
 
@@ -70,23 +71,12 @@ def test_split_solve_sampler_pinned():
     assert fingerprint(split_solve(g, cfg)) == (5, 3, 11, [101, 105, 106, 107, 111])
 
 
-# (parts, vertex_limit, split seed) -> fingerprint on a contracted C(12,12,4)
-# graph (152 contractions, seed 0). parts=None means no partition, the same
-# as parts=1: its figure was recorded with parts=1 before split_solve stopped
-# running the automatic part-count search for parts=None. The parts=4 run
-# queues and solves partition parts.
-PARTITIONED_PINS = {
-    (None, 45, 1): (4, 7, 177, [769, 776, 778, 780]),
-    (4, 20, 1): (4, 13, 193, [769, 776, 778, 780]),
-}
-
-
-@pytest.mark.parametrize("key", sorted(PARTITIONED_PINS, key=str))
-def test_split_solve_partitioned_pinned(key):
-    parts, limit, seed = key
+def test_split_solve_contracted_chimera_pinned():
+    # Contracted C(12,12,4) (152 contractions, seed 0) at limit 45, seed 1.
+    # Recorded with a partition count of 1, the same as no partition.
     g, _ = contract_random_edges(chimera_graph(ChimeraSpec(12, 12, 4)), 152, 0)
-    result = split_solve(g, SplitConfig(vertex_limit=limit, seed=seed, parts=parts))
-    assert fingerprint(result) == PARTITIONED_PINS[key]
+    result = split_solve(g, SplitConfig(vertex_limit=45, seed=1))
+    assert fingerprint(result) == (4, 7, 177, [769, 776, 778, 780])
 
 
 # (n, p, seed, vertex_limit, backend) -> fingerprint of a graph that fits the

@@ -5,16 +5,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-import cliquesplit.splitting
 from cliquesplit import (
-    ChimeraSpec,
     CliqueResult,
     Graph,
     SolverConfig,
     SplitConfig,
     SubproblemSolveError,
-    chimera_graph,
-    contract_random_edges,
     exact_max_clique,
     gnp_random,
     is_clique,
@@ -102,12 +98,11 @@ class TestChooseSplitVertex:
 
 
 class TestSplitSolve:
-    @given(g=small_graphs, seed=st.integers(min_value=0, max_value=2**16),
-           parts=st.sampled_from([None, 1, 2]))
-    def test_exact_matches_brute_force_at_every_limit(self, g, seed, parts):
+    @given(g=small_graphs, seed=st.integers(min_value=0, max_value=2**16))
+    def test_exact_matches_brute_force_at_every_limit(self, g, seed):
         omega = brute_max_clique(g)
         for limit in range(1, g.num_vertices + 1):
-            result = split_solve(g, SplitConfig(vertex_limit=limit, seed=seed, parts=parts))
+            result = split_solve(g, SplitConfig(vertex_limit=limit, seed=seed))
             assert is_clique(g, result.vertices)
             assert len(result.vertices) == result.size == omega
 
@@ -177,8 +172,11 @@ class TestSplitSolve:
         assert result.size == 3  # clique short-circuit fires, queue drains
 
     def test_empty_graph(self):
-        result = split_solve(Graph(0), SplitConfig(vertex_limit=5))
-        assert result.size == 0
+        def never(subgraph, seed):
+            raise AssertionError("the empty graph reached the subsolver")
+
+        result = split_solve(Graph(0), SplitConfig(vertex_limit=5), solver=never)
+        assert result == CliqueResult(frozenset(), 0, "exact")
 
     def test_deterministic_given_seed(self):
         g = gnp_random(70, 0.3, 2)
@@ -187,25 +185,6 @@ class TestSplitSolve:
         b = split_solve(g, cfg)
         assert a.vertices == b.vertices
         assert a.stats == b.stats
-
-    def test_fixed_parts_mode(self):
-        g = gnp_random(50, 0.2, 6)
-        expected = exact_max_clique(g).size
-        for parts in (1, 2, 4):
-            result = split_solve(g, SplitConfig(vertex_limit=20, seed=1, parts=parts))
-            assert result.size == expected
-
-    def test_default_config_runs_no_partition_search(self, monkeypatch):
-        def no_search(*args, **kwargs):
-            raise AssertionError("split_solve ran the automatic CH-partition search")
-
-        monkeypatch.setattr(cliquesplit.splitting, "auto_ch_partition", no_search)
-        g, _ = contract_random_edges(chimera_graph(ChimeraSpec(12, 12, 4)), 152, 0)
-        result = split_solve(g, SplitConfig(vertex_limit=45, seed=1))
-        ids = {g.label(v): v for v in g.vertices()}  # the result is in label space
-        assert is_clique(g, [ids[v] for v in result.vertices]) and len(result.vertices) == result.size
-        whole = split_solve(g, SplitConfig(vertex_limit=45, seed=1, parts=1))
-        assert (result.stats, result.vertices) == (whole.stats, whole.vertices)
 
     def test_solver_failure_carries_subproblem(self):
         from cliquesplit import SolverError
