@@ -62,6 +62,7 @@ from .solvers import (
     SubproblemSolveError,
     binary_search_max_clique,
     exact_max_clique,
+    get_subsolver,
     greedy_clique,
     local_search_descent,
     mock_sampler,
@@ -115,6 +116,7 @@ __all__ = [
     "emit_csv",
     "evaluate",
     "exact_max_clique",
+    "get_subsolver",
     "gnp_random",
     "greedy_clique",
     "hamming_graph",

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 
 from .graphs import Graph, gnp_random, hamming_graph, parse_dimacs
 from .chimera import ChimeraSpec, chimera_graph, contract_random_edges
-from .solvers import SOLVER_NAMES, SolverConfig, get_subsolver
+from .solvers import SOLVER_NAMES, get_subsolver
 from .splitting import SplitConfig, split_solve
 
 GRAPH_SOURCES = ("gnp", "chimera", "cm", "hamming", "dimacs")
@@ -103,7 +103,7 @@ def build_graph(cfg: BenchConfig, seed: int) -> tuple[Graph, str]:
         return parse_dimacs(handle.read()), cfg.path
 
 
-def run_experiment(cfg: BenchConfig, solver_config: SolverConfig | None = None) -> list[RunRecord]:
+def run_experiment(cfg: BenchConfig) -> list[RunRecord]:
     """Execute repetitions x seeds runs plus one median summary row.
 
     Repetitions reuse the seed and its graph, built once per seed, so they
@@ -111,11 +111,10 @@ def run_experiment(cfg: BenchConfig, solver_config: SolverConfig | None = None) 
     measurements.
     """
     records: list[RunRecord] = []
-    base_solver_cfg = solver_config if solver_config is not None else SolverConfig()
     for seed in cfg.seeds:
         g, description = build_graph(cfg, seed)
         for repetition in range(cfg.repetitions):
-            subsolver = get_subsolver(cfg.solver, base_solver_cfg)
+            subsolver = get_subsolver(cfg.solver)
             solver_seconds = 0.0
 
             def timed(subgraph: Graph, sub_seed: int):

@@ -93,7 +93,6 @@ def build_parser() -> _Parser:
     group.add_argument("--k", type=int, help="extract the k-core only")
     group.add_argument("--lower-bound", type=int, help="core + edge-prune reduction")
     red.add_argument("--seed", type=int, default=0)
-    red.add_argument("--all-vertices", action="store_true", help="prune around every vertex")
     red.add_argument("--out", default=None)
 
     split = sub.add_parser("split", help="decompose and solve via bounded subproblems")
@@ -143,9 +142,7 @@ def _cmd_reduce(args) -> int:
         removed_v = g.num_vertices - reduced.num_vertices
         removed_e = g.num_edges - reduced.num_edges
     else:
-        outcome = reduce_graph(
-            g, args.lower_bound, seed=args.seed, prune_all_vertices=args.all_vertices
-        )
+        outcome = reduce_graph(g, args.lower_bound, seed=args.seed)
         reduced, removed_v, removed_e = outcome.graph, outcome.removed_vertices, outcome.removed_edges
     _write_output(write_dimacs(reduced), args.out)
     print(f"removed_vertices={removed_v} removed_edges={removed_e}", file=sys.stderr)

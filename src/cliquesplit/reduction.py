@@ -4,8 +4,8 @@ Both reductions are licensed by a known lower bound on the clique size:
 they may destroy cliques of at most ``lower_bound`` vertices (one of that
 size is already in hand) but keep every clique of size lower_bound + 1 or
 more. ``k_core`` peels low-degree vertices; ``reduce_graph`` additionally
-strips edges around a vertex whose endpoints share too few neighbors to
-sit inside a bigger clique, then peels again.
+strips the edges around one random surviving vertex whose endpoints
+share too few neighbors to sit inside a bigger clique, then peels again.
 
 ``Subproblem`` is the reduction engine over adjacency sets. It holds only
 root-side items: ``k_core``, ``reduce_graph`` and the split driver's
@@ -14,7 +14,8 @@ Its degree index has one writer, and its degree queries are scans of
 that index. ``BitsetSubproblem`` runs the same reduce pass over one
 adjacency bitmask per vertex; every neighborhood subproblem the split
 driver cuts is one, and they reach the same subgraphs and draw the same
-random numbers as the set engine would.
+random numbers as the set engine would. Both engines prune through
+``prune_low_overlap_edges(centre, lower_bound)``, around one centre.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graphs import Graph, bit_positions, graph_from_adjacency, graph_from_masks
 
@@ -42,6 +43,7 @@ class Subproblem:
     vertex sets indexed by degree), are each built on first use and from
     then on kept synchronized under vertex and edge removals, while a
     subgraph that is peeled empty or solved whole never builds either.
+    ``ids`` is what the reduce pass draws its random prune centre from.
     ``_refile`` is the only writer of ``by_degree`` after the build, and
     the degree queries only read it: each is one scan over the degrees.
     Degrees only ever decrease here.
@@ -132,49 +134,37 @@ class Subproblem:
             self._ids.pop(bisect_left(self._ids, v))
         return fallen
 
-    def prune_low_overlap_edges(self, centres: Sequence[int], lower_bound: int) -> list[int]:
-        """Drop edges (v, n), v in ``centres``, whose endpoints share fewer
-        than lower_bound - 2 neighbors.
+    def prune_low_overlap_edges(self, centre: int, lower_bound: int) -> list[int]:
+        """Drop the edges (centre, n) whose endpoints share fewer than
+        lower_bound - 2 neighbors.
 
         Inside a clique of size c every edge has at least c - 2 common
         neighbors, so these edges cannot lie in any clique beating the
-        bound. The scan finishes before any edge is removed (two-phase),
-        so every test sees the input neighbor sets. Returns each endpoint
-        of a dropped edge once; empty when none dropped.
+        bound. Every test sees the input neighbor sets: the scan finishes
+        before any edge is removed. Returns the centre and then each
+        dropped neighbor, in scan order; empty when none dropped.
         """
         threshold = lower_bound - 2
+        if threshold <= 0:
+            return []
         adj = self.adj
-        doomed = []
-        for v in centres:
-            nv = adj[v]
-            doomed.append((v, [n for n in nv if len(nv & adj[n]) < threshold]))
-        degree_before: dict[int, int] = {}  # each endpoint's degree before the prune
-        for v, dropped in doomed:
-            nv = adj[v]
-            dropped = [n for n in dropped if n in nv]  # an edge found from both ends goes once
-            if not dropped:
-                continue
-            for u in (v, *dropped):
-                degree_before.setdefault(u, len(adj[u]))
-            for n in dropped:
-                nv.discard(n)
-                adj[n].discard(v)
+        around = adj[centre]
+        doomed = [n for n in around if len(around & adj[n]) < threshold]
+        if not doomed:
+            return []
+        for n in doomed:
+            around.discard(n)
+            adj[n].discard(centre)
         if self._by_degree is not None:
-            for u, d in degree_before.items():
-                self._refile(u, d, len(adj[u]))
-        return list(degree_before)
+            self._refile(centre, len(around) + len(doomed), len(around))
+            for n in doomed:
+                self._refile(n, len(adj[n]) + 1, len(adj[n]))
+        return [centre, *doomed]
 
-    def reduce(
-        self,
-        lower_bound: int,
-        rng: random.Random,
-        touched: Iterable[int] | None = None,
-        prune_all_vertices: bool = False,
-    ) -> None:
-        """Core, edge prune, then re-peel the region the prune touched.
+    def reduce(self, lower_bound: int, rng: random.Random, touched: Iterable[int] | None = None) -> None:
+        """Core, edge prune around one uniformly random surviving vertex,
+        then re-peel the region the prune touched.
 
-        The prune runs around one uniformly random surviving vertex, or
-        around every vertex with ``prune_all_vertices`` (no random draw).
         When the subgraph is already a core at this bound and ``touched``
         names every vertex whose degree dropped since, the first peel can
         start from just those vertices instead of scanning everything.
@@ -186,8 +176,7 @@ class Subproblem:
         self.core_bound = lower_bound
         if self.adj:
             ids = self.ids
-            centres = ids if prune_all_vertices else [ids[rng.randrange(len(ids))]]
-            affected = self.prune_low_overlap_edges(centres, lower_bound)
+            affected = self.prune_low_overlap_edges(ids[rng.randrange(len(ids))], lower_bound)
             if affected:
                 peel_to_core(self, lower_bound, candidates=affected)
 
@@ -307,9 +296,9 @@ class BitsetSubproblem:
             candidates = nbrs & alive
         self.alive = alive
 
-    def _prune_low_overlap_edges(self, centre: int, lower_bound: int) -> int:
-        """``Subproblem.prune_low_overlap_edges`` around one centre; returns
-        the mask of the dropped edges' endpoints, 0 when none dropped."""
+    def prune_low_overlap_edges(self, centre: int, lower_bound: int) -> int:
+        """``Subproblem.prune_low_overlap_edges`` on masks; returns the mask
+        of the centre and its dropped neighbors, 0 when none dropped."""
         threshold = lower_bound - 2
         if threshold <= 0:
             return 0
@@ -337,7 +326,7 @@ class BitsetSubproblem:
         self.core_bound = lower_bound
         if self.alive:
             ids = bit_positions(self.alive)
-            affected = self._prune_low_overlap_edges(ids[rng.randrange(len(ids))], lower_bound)
+            affected = self.prune_low_overlap_edges(ids[rng.randrange(len(ids))], lower_bound)
             if affected:
                 self._peel(lower_bound, affected)
 
@@ -376,12 +365,7 @@ def k_core(g: Graph, k: int) -> Graph:
     return graph_from_adjacency(sub.adj, g)
 
 
-def reduce_graph(
-    g: Graph,
-    lower_bound: int,
-    seed: int = 0,
-    prune_all_vertices: bool = False,
-) -> ReductionOutcome:
+def reduce_graph(g: Graph, lower_bound: int, seed: int = 0) -> ReductionOutcome:
     """Core-then-prune-then-core reduction keyed to a clique lower bound.
 
     Every clique of size >= lower_bound + 1 in ``g`` survives. Removed
@@ -391,7 +375,7 @@ def reduce_graph(
     if lower_bound < 0:
         raise ValueError("lower_bound must be non-negative")
     sub = Subproblem.from_graph(g)
-    sub.reduce(lower_bound, random.Random(seed), prune_all_vertices=prune_all_vertices)
+    sub.reduce(lower_bound, random.Random(seed))
     out = graph_from_adjacency(sub.adj, g)
     return ReductionOutcome(
         graph=out,

@@ -46,7 +46,7 @@ from . import solvers
 from .graphs import CliqueResult, CliqueStats, Graph, clique_result, graph_from_adjacency
 from .partitioning import auto_ch_partition, ch_partition  # noqa: F401
 from .reduction import BitsetSubproblem, Subproblem, peel_to_core
-from .solvers import SolverConfig, SolverError, SubproblemSolveError
+from .solvers import SolverError, SubproblemSolveError
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,6 @@ class SplitConfig:
     vertex_limit: int
     seed: int = 0
     solver: str = "exact"
-    solver_config: SolverConfig | None = None
 
     def __post_init__(self):
         if self.vertex_limit < 1:
@@ -166,13 +165,15 @@ def split_solve(
     """Decompose ``g`` and return a maximum clique (for an exact subsolver).
 
     ``solver`` is a (subgraph, seed) -> CliqueResult callable; when omitted
-    it is resolved from cfg.solver. Subgraphs handed to it never exceed
-    cfg.vertex_limit vertices. Solver failures, also on a graph that fits
-    whole, raise ``SubproblemSolveError`` with the offending subproblem
-    attached.
+    it is ``get_subsolver(cfg.solver)``, the backend with its default
+    settings, so a configured backend is passed as
+    ``solver=get_subsolver(name, SolverConfig(...))``. Subgraphs handed to
+    it never exceed cfg.vertex_limit vertices. Solver failures, also on a
+    graph that fits whole, raise ``SubproblemSolveError`` with the
+    offending subproblem attached.
     """
     if solver is None:
-        solver = solvers.get_subsolver(cfg.solver, cfg.solver_config)
+        solver = solvers.get_subsolver(cfg.solver)
     driver = _Driver(cfg, solver)
     root = Subproblem.from_graph(g)
     if g.num_vertices > cfg.vertex_limit:
@@ -185,14 +186,9 @@ def split_solve(
     return clique_result(g, driver.incumbent, cfg.solver, CliqueStats(driver.calls, driver.reductions))
 
 
-def sweep_vertex_limit(
-    g: Graph,
-    limits: Sequence[int],
-    seed: int = 0,
-    solver: str = "exact",
-    solver_config: SolverConfig | None = None,
-) -> list[tuple[int, int]]:
-    """Run split_solve once per vertex limit with the same seed.
+def sweep_vertex_limit(g: Graph, limits: Sequence[int], seed: int = 0) -> list[tuple[int, int]]:
+    """Run split_solve once per vertex limit with the same seed and the
+    exact backend.
 
     Returns (limit, subproblems solved) pairs; limits must be ascending.
     """
@@ -200,7 +196,6 @@ def sweep_vertex_limit(
         raise ValueError("limits must be ascending")
     table: list[tuple[int, int]] = []
     for limit in limits:
-        cfg = SplitConfig(vertex_limit=limit, seed=seed, solver=solver, solver_config=solver_config)
-        result = split_solve(g, cfg)
+        result = split_solve(g, SplitConfig(vertex_limit=limit, seed=seed))
         table.append((limit, result.stats.subproblems_solved))
     return table

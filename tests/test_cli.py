@@ -65,6 +65,14 @@ class TestReduce:
         assert parse_dimacs(out).num_vertices == 4
         assert "removed_vertices=0" in err
 
+    def test_all_vertices_flag_is_gone(self, tmp_path, capsys):
+        # The edge prune runs around one random vertex; there is no other mode.
+        src = tmp_path / "in.clq"
+        src.write_text(K4_TEXT)
+        code, out, err = run_cli(["reduce", str(src), "--lower-bound", "3", "--all-vertices"], capsys)
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --all-vertices" in err
+
     def test_missing_file(self, capsys):
         assert main(["reduce", "nope.clq", "--k", "2"]) == 1
 

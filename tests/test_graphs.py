@@ -362,10 +362,9 @@ class TestLabelComposition:
         parent=labelled_parents(),
         lower_bound=st.integers(1, 4),
         seed=st.integers(0, 99),
-        prune_all_vertices=st.booleans(),
     )
-    def test_reduce_graph(self, parent, lower_bound, seed, prune_all_vertices):
-        out = reduce_graph(parent, lower_bound, seed, prune_all_vertices).graph
+    def test_reduce_graph(self, parent, lower_bound, seed):
+        out = reduce_graph(parent, lower_bound, seed).graph
         keep, edges = survivors_in_parent(parent, out)
         assert set(keep) <= naive_core(parent, lower_bound)
         assert out == expected_subgraph(parent, keep, edges)

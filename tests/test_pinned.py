@@ -29,6 +29,7 @@ from cliquesplit import (
     SplitConfig,
     chimera_graph,
     contract_random_edges,
+    get_subsolver,
     gnp_random,
     k_core,
     mc_to_qubo,
@@ -65,10 +66,9 @@ def test_split_solve_exact_pinned(key):
 
 def test_split_solve_sampler_pinned():
     g, _ = contract_random_edges(chimera_graph(ChimeraSpec(4, 4, 4)), 20, 3)
-    cfg = SplitConfig(
-        vertex_limit=12, seed=3, solver="sampler", solver_config=SolverConfig(seed=3, num_reads=20)
-    )
-    assert fingerprint(split_solve(g, cfg)) == (5, 3, 11, [101, 105, 106, 107, 111])
+    cfg = SplitConfig(vertex_limit=12, seed=3, solver="sampler")
+    solver = get_subsolver("sampler", SolverConfig(num_reads=20))
+    assert fingerprint(split_solve(g, cfg, solver=solver)) == (5, 3, 11, [101, 105, 106, 107, 111])
 
 
 def test_split_solve_contracted_chimera_pinned():
@@ -91,9 +91,7 @@ SMALL_PINS = {
 @pytest.mark.parametrize("key", sorted(SMALL_PINS))
 def test_split_solve_fits_limit_pinned(key):
     n, p, seed, limit, backend = key
-    cfg = SplitConfig(
-        vertex_limit=limit, seed=seed, solver=backend, solver_config=SolverConfig(seed=seed)
-    )
+    cfg = SplitConfig(vertex_limit=limit, seed=seed, solver=backend)
     assert fingerprint(split_solve(gnp_random(n, p, seed), cfg)) == SMALL_PINS[key]
 
 
@@ -197,23 +195,20 @@ def test_sa_clique_backend_pinned(name):
 
 
 # G(18, 0.35) graph seed -> (removed vertices, removed edges, surviving labels)
-# for reduce_graph at lower bound 3 (one-vertex, all-vertex prune) and k_core at 3 and 4.
+# for reduce_graph at lower bound 3 and k_core at 3 and 4.
 REDUCTION_PINS = {
     2: (
         (5, 13, [0, 2, 4, 5, 6, 7, 8, 9, 12, 13, 15, 16, 17]),
-        (8, 21, [0, 4, 5, 6, 7, 8, 9, 12, 13, 16]),
         (2, 4, [0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 15, 16, 17]),
         (18, 43, []),
     ),
     15: (
         (4, 7, [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 14, 15, 17]),
-        (10, 24, [1, 2, 4, 8, 9, 11, 13, 14]),
         (3, 4, [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14, 15, 17]),
         (18, 40, []),
     ),
     22: (
         (5, 12, [1, 2, 3, 4, 7, 8, 9, 10, 12, 13, 14, 15, 17]),
-        (11, 26, [1, 2, 4, 10, 13, 15, 17]),
         (2, 3, [1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17]),
         (11, 26, [1, 2, 4, 10, 13, 15, 17]),
     ),
@@ -228,18 +223,7 @@ def shrink(g, out):
 @pytest.mark.parametrize("seed", sorted(REDUCTION_PINS))
 def test_reductions_pinned(seed):
     g = gnp_random(18, 0.35, seed)
-    single = reduce_graph(g, 3, seed=seed)
-    every = reduce_graph(g, 3, seed=seed, prune_all_vertices=True)
-    for outcome in (single, every):
-        assert (outcome.removed_vertices, outcome.removed_edges) == shrink(g, outcome.graph)[:2]
-    got = (shrink(g, single.graph), shrink(g, every.graph), shrink(g, k_core(g, 3)), shrink(g, k_core(g, 4)))
+    outcome = reduce_graph(g, 3, seed=seed)
+    assert (outcome.removed_vertices, outcome.removed_edges) == shrink(g, outcome.graph)[:2]
+    got = (shrink(g, outcome.graph), shrink(g, k_core(g, 3)), shrink(g, k_core(g, 4)))
     assert got == REDUCTION_PINS[seed]
-
-
-def test_all_vertex_prune_edges_pinned():
-    out = reduce_graph(gnp_random(18, 0.35, 22), 3, seed=22, prune_all_vertices=True).graph
-    edges = [(out.label(u), out.label(v)) for u, v in out.edges()]
-    assert edges == [
-        (1, 4), (1, 10), (1, 13), (1, 17), (2, 4), (2, 10), (2, 13), (2, 15),
-        (4, 15), (4, 17), (10, 13), (10, 15), (10, 17), (13, 17), (15, 17),
-    ]

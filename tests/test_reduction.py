@@ -104,8 +104,7 @@ class TestReduceGraph:
         assert outcome.removed_vertices == g.num_vertices - outcome.graph.num_vertices
         assert outcome.removed_edges == g.num_edges - outcome.graph.num_edges
 
-    @pytest.mark.parametrize("prune_all", [False, True])
-    def test_clique_preservation(self, prune_all):
+    def test_clique_preservation(self):
         # Any bound below the clique number must leave the optimum intact.
         rng = random.Random(202)
         for _ in range(60):
@@ -113,16 +112,8 @@ class TestReduceGraph:
             g = gnp_random(n, rng.choice([0.3, 0.5, 0.8]), rng.randrange(10**6))
             omega = brute_max_clique(g)
             for bound in range(omega):
-                outcome = reduce_graph(g, bound, seed=rng.randrange(10**6),
-                                       prune_all_vertices=prune_all)
+                outcome = reduce_graph(g, bound, seed=rng.randrange(10**6))
                 assert exact_max_clique(outcome.graph).size == omega
-
-    def test_exhaustive_variant_reduces_at_least_as_much(self):
-        g = gnp_random(60, 0.15, 9)
-        bound = exact_max_clique(g).size - 1
-        single = reduce_graph(g, bound, seed=4)
-        full = reduce_graph(g, bound, seed=4, prune_all_vertices=True)
-        assert full.graph.num_vertices <= single.graph.num_vertices
 
     def test_deterministic_given_seed(self):
         g = gnp_random(50, 0.25, 17)
@@ -171,15 +162,17 @@ class TestSubproblemDegreeIndex:
             steps = ["peel"] + ["vertex", "prune"] * bool(vertices)
             step = data.draw(st.sampled_from(steps))
             if step == "prune":
-                centres = data.draw(st.lists(st.sampled_from(vertices), min_size=1, unique=True))
+                centre = data.draw(st.sampled_from(vertices))
                 bound = data.draw(st.integers(min_value=0, max_value=10))
+                around = sub.adj[centre]  # the live set, so that doomed is in scan order
+                doomed = [n for n in around if len(around & sub.adj[n]) < bound - 2]
                 before = {v: set(nbrs) for v, nbrs in sub.adj.items()}
-                doomed = {
-                    frozenset((v, n)) for v in centres for n in before[v] if len(before[v] & before[n]) < bound - 2
+                touched = sub.prune_low_overlap_edges(centre, bound)
+                assert sub.adj == {
+                    v: nbrs - set(doomed) if v == centre else nbrs - {centre} if v in doomed else nbrs
+                    for v, nbrs in before.items()
                 }
-                touched = sub.prune_low_overlap_edges(centres, bound)
-                assert sub.adj == {v: {n for n in nbrs if {v, n} not in doomed} for v, nbrs in before.items()}
-                assert len(touched) == len(set(touched)) and set(touched) == set().union(*doomed)
+                assert touched == ([centre, *doomed] if doomed else [])
             elif step == "vertex":
                 v = data.draw(st.sampled_from(vertices))
                 below = data.draw(st.integers(min_value=0, max_value=8))
@@ -256,3 +249,60 @@ class TestBitsetSubproblem:
         assert sub.median_degree() == ordered[(len(ordered) - 1) // 2]
         for d in set(ordered):
             assert sub.smallest_id_of_degree(d) == min(v for v in degree if degree[v] == d)
+
+
+def cliques_of(adj: dict[int, set[int]]) -> list[frozenset[int]]:
+    """Every nonempty clique of ``adj``, by brute force over vertex masks."""
+    vertices = sorted(adj)
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    nbrs = [sum(bit[u] for u in adj[v]) for v in vertices]
+    is_clique = [True] * (1 << len(vertices))
+    cliques = []
+    for mask in range(1, 1 << len(vertices)):
+        rest = mask & (mask - 1)  # mask without its lowest bit
+        is_clique[mask] = is_clique[rest] and not rest & ~nbrs[(mask ^ rest).bit_length() - 1]
+        if is_clique[mask]:
+            cliques.append(frozenset(vertices[i] for i in bit_positions(mask)))
+    return cliques
+
+
+def holds(sub: Subproblem | BitsetSubproblem, clique: frozenset[int]) -> bool:
+    """Whether ``clique`` is a clique of ``sub``."""
+    adj = sub.adj if isinstance(sub, Subproblem) else bitset_adjacency(sub)
+    return all(v in adj and clique - {v} <= adj[v] for v in clique)
+
+
+class TestCliquesAboveTheBound:
+    """Both engines keep every clique that beats the bound: through a
+    reduce pass, and through a split followed by the driver's reduce of
+    the remainder and of the neighborhood child."""
+
+    @given(
+        g=st.builds(
+            gnp_random,
+            n=st.integers(min_value=0, max_value=12),
+            p=st.floats(min_value=0.0, max_value=1.0),
+            seed=st.integers(min_value=0, max_value=2**32),
+        ),
+        seed=st.integers(min_value=0, max_value=2**32),
+        limit=st.integers(min_value=1, max_value=12),
+    )
+    def test_every_clique_above_the_bound_survives(self, g, seed, limit):
+        cliques = cliques_of(Subproblem.from_graph(g).adj)
+        for bound in range(g.num_vertices + 2):
+            above = [c for c in cliques if len(c) > bound]
+            sets = Subproblem.from_graph(g)
+            bits = BitsetSubproblem.from_adjacency(sets.adj, set(sets.adj))
+            for sub in (sets, bits):
+                rng = random.Random(seed)
+                sub.reduce(bound, rng)
+                assert all(holds(sub, c) for c in above)
+                if not sub.size:
+                    continue
+                at = _choose_split_vertex(sub, limit)
+                v = at if sub is sets else sub.labels[at]
+                child, touched = sub.split_at(at)
+                sub.reduce(bound, rng, touched=touched)
+                child.reduce(max(bound - 1, 0), rng)  # the child's anchor is {v}
+                for c in above:
+                    assert holds(child, c - {v}) if v in c else holds(sub, c)

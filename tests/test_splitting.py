@@ -12,12 +12,12 @@ from cliquesplit import (
     SplitConfig,
     SubproblemSolveError,
     exact_max_clique,
+    get_subsolver,
     gnp_random,
     is_clique,
     split_solve,
     sweep_vertex_limit,
 )
-from cliquesplit.solvers import get_subsolver
 from cliquesplit.splitting import Subproblem, _choose_split_vertex, _Driver
 
 from conftest import brute_max_clique, complete_graph, star_graph, wheel5
@@ -89,7 +89,7 @@ class TestChooseSplitVertex:
         sub = Subproblem.from_graph(wheel5())
         assert _choose_split_vertex(sub, vertex_limit=3) == 1  # lower median 3, smallest id
         # At bound 4, the rim edges (1, 2) and (1, 4) share only the hub.
-        assert sorted(sub.prune_low_overlap_edges([1], 4)) == [1, 2, 4]
+        assert sorted(sub.prune_low_overlap_edges(1, 4)) == [1, 2, 4]
         assert _choose_split_vertex(sub, vertex_limit=3) == 2  # median 2: vertices 2 and 4
         assert _choose_split_vertex(sub, vertex_limit=1) == 1  # minimum 1
         sub.remove_vertex(0)  # degrees 0, 1, 2, 1 on vertices 1..4
@@ -212,9 +212,8 @@ class TestSplitSolve:
         from cliquesplit import BudgetExceededError
 
         g = gnp_random(8, 0.5, 3)  # the exact oracle needs more than one branch node here
-        cfg = SplitConfig(vertex_limit=10, solver_config=SolverConfig(budget=1))
         with pytest.raises(SubproblemSolveError) as info:
-            split_solve(g, cfg)
+            split_solve(g, SplitConfig(vertex_limit=10), solver=get_subsolver("exact", SolverConfig(budget=1)))
         cause = info.value.__cause__
         assert isinstance(cause, BudgetExceededError)
         assert cause.best is not None and is_clique(g, cause.best.vertices)
@@ -222,10 +221,7 @@ class TestSplitSolve:
     def test_sa_clique_backend_end_to_end(self):
         g = gnp_random(60, 0.4, 8)
         expected = exact_max_clique(g).size
-        cfg = SplitConfig(
-            vertex_limit=30, seed=8, solver="sa-clique", solver_config=SolverConfig(seed=8)
-        )
-        result = split_solve(g, cfg)
+        result = split_solve(g, SplitConfig(vertex_limit=30, seed=8, solver="sa-clique"))
         assert is_clique(g, result.vertices)
         assert result.size == expected
 
