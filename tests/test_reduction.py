@@ -1,7 +1,6 @@
 import random
 import time
 
-import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
