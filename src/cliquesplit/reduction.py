@@ -3,9 +3,12 @@
 Both reductions are licensed by a known lower bound on the clique size:
 they may destroy cliques of at most ``lower_bound`` vertices (one of that
 size is already in hand) but keep every clique of size lower_bound + 1 or
-more. ``k_core`` peels low-degree vertices; ``reduce_graph`` additionally
-strips the edges around one random surviving vertex whose endpoints
-share too few neighbors to sit inside a bigger clique, then peels again.
+more. ``k_core`` peels low-degree vertices; ``reduce_graph`` peels the
+vertices of degree below ``lower_bound``, strips the edges around one
+random surviving vertex whose endpoints share fewer than
+``lower_bound - 1`` neighbors, then peels again. Every vertex of a
+c-clique has degree c - 1 or more and every edge of it c - 2 common
+neighbors, so a clique of lower_bound + 1 vertices survives both steps.
 
 ``Subproblem`` is the reduction engine over adjacency sets. It holds only
 root-side items: ``k_core``, ``reduce_graph`` and the split driver's
@@ -136,15 +139,16 @@ class Subproblem:
 
     def prune_low_overlap_edges(self, centre: int, lower_bound: int) -> list[int]:
         """Drop the edges (centre, n) whose endpoints share fewer than
-        lower_bound - 2 neighbors.
+        lower_bound - 1 neighbors.
 
         Inside a clique of size c every edge has at least c - 2 common
-        neighbors, so these edges cannot lie in any clique beating the
-        bound. Every test sees the input neighbor sets: the scan finishes
-        before any edge is removed. Returns the centre and then each
-        dropped neighbor, in scan order; empty when none dropped.
+        neighbors, and only a clique of lower_bound + 1 vertices beats the
+        bound, so these edges cannot lie in any clique beating it. Every
+        test sees the input neighbor sets: the scan finishes before any
+        edge is removed. Returns the centre and then each dropped
+        neighbor, in scan order; empty when none dropped.
         """
-        threshold = lower_bound - 2
+        threshold = lower_bound - 1
         if threshold <= 0:
             return []
         adj = self.adj
@@ -299,7 +303,7 @@ class BitsetSubproblem:
     def prune_low_overlap_edges(self, centre: int, lower_bound: int) -> int:
         """``Subproblem.prune_low_overlap_edges`` on masks; returns the mask
         of the centre and its dropped neighbors, 0 when none dropped."""
-        threshold = lower_bound - 2
+        threshold = lower_bound - 1
         if threshold <= 0:
             return 0
         masks = self.masks

@@ -618,10 +618,18 @@ SubSolver = Callable[[Graph, int], CliqueResult]
 
 
 def get_subsolver(name: str, cfg: SolverConfig | None = None) -> SubSolver:
-    """A (graph, seed) -> CliqueResult callable for the split driver."""
+    """A (graph, seed) -> CliqueResult callable for the split driver.
+
+    Each call runs ``name`` with ``cfg`` and the call's seed, so ``cfg``
+    must leave ``seed`` at its default.
+    """
     if name not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
     base = cfg if cfg is not None else SolverConfig()
+    if base.seed != SolverConfig.seed:
+        raise ValueError(
+            "get_subsolver ignores cfg.seed: the split driver draws each call's seed from SplitConfig.seed"
+        )
 
     def run(g: Graph, seed: int) -> CliqueResult:
         return solve_mc(g, name, replace(base, seed=seed))

@@ -17,6 +17,13 @@ while the driver's solve-or-queue choice was still spread over four
 helpers, while a graph that fits the limit still bypassed the driver, and
 while the driver could still CH-partition its root; routing every
 subproblem through one solve path must not change them.
+
+The ``split_solve`` figures at a vertex limit below the input's size and
+the ``reduce_graph`` figures were re-recorded when the edge prune's
+threshold rose from ``lower_bound - 2`` to ``lower_bound - 1`` common
+neighbors. That prune drops more edges, so the split path, the subsolver
+calls, the reduction count and, among cliques of equal size, the returned
+vertices may change; no clique size may.
 """
 
 import random
@@ -45,10 +52,10 @@ from cliquesplit.qubo import Qubo
 
 # (n, p, graph seed, vertex_limit) -> (size, subproblems_solved, reductions, vertices)
 SPLIT_PINS = {
-    (120, 0.3, 4, 10): (6, 3, 507, [34, 37, 51, 57, 83, 111]),
-    (120, 0.3, 4, 20): (6, 46, 305, [20, 41, 71, 79, 112, 116]),
-    (80, 0.5, 1, 10): (9, 12, 1183, [2, 13, 16, 23, 25, 51, 58, 73, 79]),
-    (80, 0.5, 1, 20): (9, 77, 383, [2, 13, 16, 23, 25, 51, 58, 73, 79]),
+    (120, 0.3, 4, 10): (6, 3, 469, [0, 1, 33, 61, 70, 119]),
+    (120, 0.3, 4, 20): (6, 44, 285, [20, 41, 71, 79, 112, 116]),
+    (80, 0.5, 1, 10): (9, 3, 915, [2, 13, 16, 23, 25, 51, 58, 73, 79]),
+    (80, 0.5, 1, 20): (9, 80, 371, [2, 13, 16, 23, 25, 51, 58, 73, 79]),
 }
 
 
@@ -68,7 +75,7 @@ def test_split_solve_sampler_pinned():
     g, _ = contract_random_edges(chimera_graph(ChimeraSpec(4, 4, 4)), 20, 3)
     cfg = SplitConfig(vertex_limit=12, seed=3, solver="sampler")
     solver = get_subsolver("sampler", SolverConfig(num_reads=20))
-    assert fingerprint(split_solve(g, cfg, solver=solver)) == (5, 3, 11, [101, 105, 106, 107, 111])
+    assert fingerprint(split_solve(g, cfg, solver=solver)) == (5, 2, 11, [101, 105, 106, 107, 111])
 
 
 def test_split_solve_contracted_chimera_pinned():
@@ -76,7 +83,7 @@ def test_split_solve_contracted_chimera_pinned():
     # Recorded with a partition count of 1, the same as no partition.
     g, _ = contract_random_edges(chimera_graph(ChimeraSpec(12, 12, 4)), 152, 0)
     result = split_solve(g, SplitConfig(vertex_limit=45, seed=1))
-    assert fingerprint(result) == (4, 7, 177, [769, 776, 778, 780])
+    assert fingerprint(result) == (4, 3, 167, [769, 776, 778, 780])
 
 
 # (n, p, seed, vertex_limit, backend) -> fingerprint of a graph that fits the
@@ -203,7 +210,7 @@ REDUCTION_PINS = {
         (18, 43, []),
     ),
     15: (
-        (4, 7, [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 14, 15, 17]),
+        (4, 9, [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 14, 15, 17]),
         (3, 4, [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14, 15, 17]),
         (18, 40, []),
     ),

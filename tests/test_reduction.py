@@ -1,6 +1,7 @@
 import random
 import time
 
+import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
@@ -164,7 +165,7 @@ class TestSubproblemDegreeIndex:
                 centre = data.draw(st.sampled_from(vertices))
                 bound = data.draw(st.integers(min_value=0, max_value=10))
                 around = sub.adj[centre]  # the live set, so that doomed is in scan order
-                doomed = [n for n in around if len(around & sub.adj[n]) < bound - 2]
+                doomed = [n for n in around if len(around & sub.adj[n]) < bound - 1]
                 before = {v: set(nbrs) for v, nbrs in sub.adj.items()}
                 touched = sub.prune_low_overlap_edges(centre, bound)
                 assert sub.adj == {
@@ -248,6 +249,35 @@ class TestBitsetSubproblem:
         assert sub.median_degree() == ordered[(len(ordered) - 1) // 2]
         for d in set(ordered):
             assert sub.smallest_id_of_degree(d) == min(v for v in degree if degree[v] == d)
+
+
+class TestPruneThreshold:
+    """An edge survives the prune at bound b exactly when its endpoints
+    share at least b - 1 neighbors, as every edge of a (b + 1)-clique does."""
+
+    @staticmethod
+    def centre_neighbors_after_prune(engine, clique_size, bound):
+        # A clique on 0..clique_size-1 with two pendants on its centre 0,
+        # which share no neighbor with it.
+        n = clique_size + 2
+        edges = [(u, v) for u in range(clique_size) for v in range(u + 1, clique_size)]
+        sets = Subproblem.from_graph(Graph(n, edges + [(0, n - 2), (0, n - 1)]))
+        if engine == "sets":
+            sets.prune_low_overlap_edges(0, bound)
+            return sets.adj[0]
+        bits = BitsetSubproblem.from_adjacency(sets.adj, set(sets.adj))
+        bits.prune_low_overlap_edges(0, bound)
+        return bitset_adjacency(bits)[0]
+
+    @pytest.mark.parametrize("engine", ["sets", "bits"])
+    @pytest.mark.parametrize("bound", [2, 3, 4, 6])
+    def test_a_clique_beating_the_bound_keeps_its_edges(self, engine, bound):
+        assert self.centre_neighbors_after_prune(engine, bound + 1, bound) == set(range(1, bound + 1))
+
+    @pytest.mark.parametrize("engine", ["sets", "bits"])
+    @pytest.mark.parametrize("bound", [3, 4, 6])
+    def test_a_clique_at_the_bound_loses_the_centres_edges(self, engine, bound):
+        assert self.centre_neighbors_after_prune(engine, bound, bound) == set()
 
 
 def cliques_of(adj: dict[int, set[int]]) -> list[frozenset[int]]:

@@ -18,6 +18,7 @@ from cliquesplit import (
     brute_force_min,
     evaluate,
     exact_max_clique,
+    get_subsolver,
     gnp_random,
     greedy_clique,
     is_clique,
@@ -367,6 +368,18 @@ class TestSolveMcFacade:
             assert is_clique(g, result.vertices)
             assert result.size >= 1
             assert result.solver_name == name
+
+
+class TestGetSubsolver:
+    def test_rejects_a_seed_it_would_ignore(self):
+        with pytest.raises(ValueError, match="SplitConfig.seed"):
+            get_subsolver("sa-qubo", SolverConfig(seed=5))
+
+    def test_each_call_runs_with_its_own_seed(self):
+        g = gnp_random(30, 0.5, 1)
+        solver = get_subsolver("sa-qubo", SolverConfig(num_reads=20))
+        for seed in (3, 11):
+            assert solver(g, seed) == solve_mc(g, "sa-qubo", SolverConfig(seed=seed, num_reads=20))
 
 
 class TestBinarySearch:

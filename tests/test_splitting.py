@@ -88,8 +88,8 @@ class TestChooseSplitVertex:
     def test_follows_removals(self):
         sub = Subproblem.from_graph(wheel5())
         assert _choose_split_vertex(sub, vertex_limit=3) == 1  # lower median 3, smallest id
-        # At bound 4, the rim edges (1, 2) and (1, 4) share only the hub.
-        assert sorted(sub.prune_low_overlap_edges(1, 4)) == [1, 2, 4]
+        # At bound 3, the rim edges (1, 2) and (1, 4) share only the hub.
+        assert sorted(sub.prune_low_overlap_edges(1, 3)) == [1, 2, 4]
         assert _choose_split_vertex(sub, vertex_limit=3) == 2  # median 2: vertices 2 and 4
         assert _choose_split_vertex(sub, vertex_limit=1) == 1  # minimum 1
         sub.remove_vertex(0)  # degrees 0, 1, 2, 1 on vertices 1..4
@@ -192,10 +192,11 @@ class TestSplitSolve:
         def broken(subgraph, seed):
             raise SolverError("boom")
 
-        g = gnp_random(30, 0.4, 1)
+        g = gnp_random(30, 0.6, 1)  # splits before its first subsolver call
         with pytest.raises(SubproblemSolveError) as info:
             split_solve(g, SplitConfig(vertex_limit=10, seed=0), solver=broken)
         assert info.value.subgraph.num_vertices <= 10
+        assert info.value.anchor  # a split item, not the whole graph
 
     def test_solver_failure_on_a_graph_that_fits_carries_it_whole(self):
         from cliquesplit import SolverError
