@@ -102,13 +102,18 @@ def build_parser() -> _Parser:
     split.add_argument("--seed", type=int, default=0)
     split.add_argument("--out", default=None)
 
-    solve = sub.add_parser("solve", help="run one subproblem solver directly")
+    solve = sub.add_parser(
+        "solve",
+        help="run one subproblem solver directly",
+        epilog="Each backend reads only some options: sampler and descent ignore --budget and --alpha, "
+        "exact ignores --alpha and --num-reads, and sa-clique and sa-qubo ignore --num-reads.",
+    )
     solve.add_argument("input")
     solve.add_argument("--solver", choices=SOLVER_NAMES, default="exact")
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--budget", type=int, default=None)
-    solve.add_argument("--alpha", type=float, default=0.9996)
-    solve.add_argument("--num-reads", type=int, default=500)
+    solve.add_argument("--budget", type=int, default=None, help="moves (sa-*) or branch nodes (exact)")
+    solve.add_argument("--alpha", type=float, default=0.9996, help="cooling factor (sa-clique, sa-qubo)")
+    solve.add_argument("--num-reads", type=int, default=500, help="samples (sampler) or restarts (descent)")
 
     qubo = sub.add_parser("qubo", help="emit the clique QUBO of a graph")
     qubo.add_argument("--from-graph", required=True, metavar="FILE")

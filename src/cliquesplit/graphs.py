@@ -11,9 +11,8 @@ vertices given as adjacency sets into a compact graph. Every such
 subgraph (induced subgraphs, cores, reduced graphs, defective and
 contracted Chimera graphs, the split driver's set-based subproblems) goes
 through it; given the ``parent`` graph, it composes the parent's labels
-so each level maps back to the input. ``graph_from_masks`` is its twin
-for subgraphs held as one adjacency bitmask per vertex (the split
-driver's bitset subproblems), and ``bit_positions`` lists a mask's bits.
+so each level maps back to the input. The split driver's bitset
+subproblems renumber their masks themselves (``reduction``).
 """
 
 from __future__ import annotations
@@ -370,41 +369,3 @@ def graph_from_adjacency(adj: dict[int, set[int]], parent: Graph | None = None) 
     new_adj = [set(map(index.__getitem__, adj[old])) for old in keep]
     return Graph._from_adj(new_adj, keep if parent is None else map(parent.label, keep))
 
-
-# _BYTE_ROWS[k][b] lists, ascending, the set bits of the byte value b
-# placed at byte offset k, so b << 8k. Rows are added when a wider mask
-# is first listed: the table is only as wide as the widest mask so far.
-_BYTE_ROWS: list[tuple[tuple[int, ...], ...]] = []
-
-
-def bit_positions(mask: int) -> list[int]:
-    """The positions of the set bits of a non-negative ``mask``, ascending."""
-    width = (mask.bit_length() + 7) >> 3
-    while len(_BYTE_ROWS) < width:
-        offsets = tuple(range(8 * len(_BYTE_ROWS), 8 * len(_BYTE_ROWS) + 8))  # shared by the row's tuples
-        _BYTE_ROWS.append(tuple(tuple(p for j, p in enumerate(offsets) if b >> j & 1) for b in range(256)))
-    positions: list[int] = []
-    for row, byte in zip(_BYTE_ROWS, mask.to_bytes(width, "little")):
-        if byte:
-            positions += row[byte]
-    return positions
-
-
-def graph_from_masks(masks: list[int], alive: int, labels: list[int]) -> Graph:
-    """Renumber the bitmask subgraph on the bits of ``alive`` into a compact Graph.
-
-    Bit i stands for the vertex ``labels[i]`` and ``masks[i] & alive`` is
-    its neighborhood. The set bits of ``alive`` are renumbered 0..k-1 in
-    ascending order and the new graph is labelled by their labels.
-    """
-    ids = bit_positions(alive)  # also grows _BYTE_ROWS to the width of every mask below
-    index = dict(zip(ids, range(len(ids))))
-    width = (alive.bit_length() + 7) >> 3
-    adj = []
-    for i in ids:
-        nbrs: list[int] = []  # bit_positions(masks[i] & alive), inlined
-        for row, byte in zip(_BYTE_ROWS, (masks[i] & alive).to_bytes(width, "little")):
-            if byte:
-                nbrs += row[byte]
-        adj.append(set(map(index.__getitem__, nbrs)))
-    return Graph._from_adj(adj, map(labels.__getitem__, ids))

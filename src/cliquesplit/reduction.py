@@ -19,6 +19,9 @@ adjacency bitmask per vertex; every neighborhood subproblem the split
 driver cuts is one, and they reach the same subgraphs and draw the same
 random numbers as the set engine would. Both engines prune through
 ``prune_low_overlap_edges(centre, lower_bound)``, around one centre.
+The bitset format lives here alone: ``bit_positions`` lists a mask's
+bits, and ``BitsetSubproblem.graph`` renumbers a bitset item into the
+compact ``Graph`` its subsolver reads.
 """
 
 from __future__ import annotations
@@ -28,7 +31,25 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import Graph, bit_positions, graph_from_adjacency, graph_from_masks
+from .graphs import Graph, graph_from_adjacency
+
+# _BYTE_ROWS[k][b] lists, ascending, the set bits of the byte value b
+# placed at byte offset k, so b << 8k. Rows are added when a wider mask
+# is first listed: the table is only as wide as the widest mask so far.
+_BYTE_ROWS: list[tuple[tuple[int, ...], ...]] = []
+
+
+def bit_positions(mask: int) -> list[int]:
+    """The positions of the set bits of a non-negative ``mask``, ascending."""
+    width = (mask.bit_length() + 7) >> 3
+    while len(_BYTE_ROWS) < width:
+        offsets = tuple(range(8 * len(_BYTE_ROWS), 8 * len(_BYTE_ROWS) + 8))  # shared by the row's tuples
+        _BYTE_ROWS.append(tuple(tuple(p for j, p in enumerate(offsets) if b >> j & 1) for b in range(256)))
+    positions: list[int] = []
+    for row, byte in zip(_BYTE_ROWS, mask.to_bytes(width, "little")):
+        if byte:
+            positions += row[byte]
+    return positions
 
 
 @dataclass(frozen=True)
@@ -275,8 +296,14 @@ class BitsetSubproblem:
         return child, nb
 
     def graph(self) -> Graph:
-        """The subgraph as a compact Graph labelled by input ids."""
-        return graph_from_masks(self.masks, self.alive, self.labels)
+        """The subgraph as a compact Graph labelled by input ids: the bits
+        of ``alive`` are renumbered 0..k-1 in ascending order, so the
+        Graph's vertex order is input id order."""
+        masks, alive = self.masks, self.alive
+        ids = bit_positions(alive)
+        index = dict(zip(ids, range(len(ids))))
+        adj = [set(map(index.__getitem__, bit_positions(masks[i] & alive))) for i in ids]
+        return Graph._from_adj(adj, map(self.labels.__getitem__, ids))
 
     def _peel(self, k: int, candidates: int) -> None:
         """k-core peeling that examines the bits of ``candidates`` and the

@@ -64,14 +64,19 @@ class SubproblemSolveError(SolverError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Shared knobs for the stochastic backends.
+    """Shared knobs for the backends; each backend reads only some of them.
 
-    ``budget`` counts moves (annealers) or branch nodes (exact); None
-    means the backend default. ``alpha`` is the geometric cooling factor
-    T_{n+1} = alpha * T_n, starting from a temperature calibrated so that
-    roughly half of the uphill probe moves would be accepted.
-    ``num_reads`` is the sample count for the sampler pipeline and the
-    restart count for descent.
+    ``budget`` counts moves (``sa-clique``, ``sa-qubo``) or branch nodes
+    (``exact``); None means the backend default. ``alpha`` is the
+    geometric cooling factor T_{n+1} = alpha * T_n of ``sa-clique`` and
+    ``sa-qubo``, starting from a temperature calibrated so that roughly
+    half of the uphill probe moves would be accepted. ``num_reads`` is the
+    sample count for ``sampler`` and the restart count for ``descent``.
+
+    So ``sampler`` and ``descent`` ignore ``budget`` and ``alpha`` (the
+    sampler anneals each read for ``MOCK_SAMPLER_BUDGET`` moves at
+    ``MOCK_SAMPLER_ALPHA``), ``exact`` ignores ``alpha``, ``num_reads``
+    and ``seed``, and ``sa-clique`` and ``sa-qubo`` ignore ``num_reads``.
     """
 
     seed: int = 0
@@ -517,50 +522,43 @@ def sampler_solve(
 
 
 def _repair_to_clique(g: Graph, selected: set[int]) -> set[int]:
-    """Shrink a vertex set to a clique by dropping, for each violated
-    pair, the lower-degree endpoint. Never adds vertices."""
-    chosen = set(selected)
-    while True:
-        ordered = sorted(chosen)
-        violation = None
-        for idx, u in enumerate(ordered):
-            nbrs = g.neighbors(u)
-            for v in ordered[idx + 1 :]:
-                if v not in nbrs:
-                    violation = (u, v)
-                    break
-            if violation:
+    """Shrink a vertex set to a clique in one pass over its pairs in
+    lexicographic order: at each non-adjacent pair of kept vertices, drop
+    the endpoint that is smaller by (degree, id). Never adds vertices.
+
+    A drop creates no new non-adjacent pair, so this drops what a rescan
+    from the first pair after every drop would.
+    """
+    ordered = sorted(selected)
+    chosen = set(ordered)
+    for idx, u in enumerate(ordered):
+        nbrs = g.neighbors(u)
+        for v in ordered[idx + 1 :]:
+            if u not in chosen:
                 break
-        if violation is None:
-            return chosen
-        u, v = violation
-        chosen.discard(min((u, v), key=lambda w: (g.degree(w), w)))
+            if v in chosen and v not in nbrs:
+                chosen.discard(min((u, v), key=lambda w: (g.degree(w), w)))
+    return chosen
 
 
 def binary_search_max_clique(g: Graph, has_clique_of_size: Callable[[int], bool]) -> int:
-    """Largest k with has_clique_of_size(k) true, in O(log n) calls.
+    """Binary search over the sizes 1..n for the largest clique size.
 
-    The predicate must be monotone (true up to the maximum clique size,
-    false above); an observed true above an observed false raises
-    ValueError.
+    Probes each size at most once, at most ceil(log2 n) times in all, and
+    returns k in [1, n] (0 for the empty graph) with has_clique_of_size(k)
+    true or k == 1, and has_clique_of_size(k + 1) false or k == n. For a
+    monotone predicate (true up to the maximum clique size, false above)
+    that k is the largest size it holds for.
     """
     n = g.num_vertices
     if n == 0:
         return 0
     lo, hi = 1, n  # every nonempty graph contains a 1-clique
-    max_true = 1
-    min_false = n + 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if has_clique_of_size(mid):
-            if mid > min_false:
-                raise ValueError(f"non-monotone predicate: true at {mid}, false at {min_false}")
-            max_true = max(max_true, mid)
             lo = mid
         else:
-            if mid < max_true:
-                raise ValueError(f"non-monotone predicate: false at {mid}, true at {max_true}")
-            min_false = min(min_false, mid)
             hi = mid - 1
     return lo
 

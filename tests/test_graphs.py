@@ -20,7 +20,7 @@ from cliquesplit import (
     reduce_graph,
     write_dimacs,
 )
-from cliquesplit.graphs import MAX_EDGES, MAX_VERTICES, bit_positions, graph_from_adjacency, graph_from_masks
+from cliquesplit.graphs import MAX_EDGES, MAX_VERTICES
 
 from conftest import brute_max_clique, complete_graph, path_graph, random_graphs, wheel5
 
@@ -461,30 +461,3 @@ class TestCommonNeighbors:
         with pytest.raises(ValueError):
             common_neighbors(k5, 0, 7)
 
-
-class TestBitPositions:
-    def test_zero_has_none(self):
-        assert bit_positions(0) == []
-
-    @given(bits=st.sets(st.integers(0, 511), max_size=60), high=st.integers(200, 520))
-    def test_ascending_over_several_rows(self, bits, high):
-        # Masks of at least 200 bits span many of the per-byte-offset rows.
-        mask = sum(1 << b for b in bits | {high})
-        assert bit_positions(mask) == sorted(bits | {high})
-
-    def test_narrow_after_wide(self):
-        assert bit_positions(1 << 300 | 1) == [0, 300]
-        assert bit_positions(0b1011) == [0, 1, 3]
-
-
-class TestGraphFromMasks:
-    @given(g=random_graphs, data=st.data())
-    def test_matches_the_set_builder(self, g, data):
-        # Bit i stands for vertex labels[i]; the masks keep bits outside alive.
-        n = g.num_vertices
-        labels = sorted(data.draw(st.sets(st.integers(0, 999), min_size=n, max_size=n)))
-        masks = [sum(1 << u for u in g.neighbors(v)) for v in range(n)]
-        keep = data.draw(st.sets(st.integers(0, n - 1)))
-        out = graph_from_masks(masks, sum(1 << v for v in keep), labels)
-        adj = {labels[v]: {labels[u] for u in g.neighbors(v) & keep} for v in keep}
-        assert out == graph_from_adjacency(adj)

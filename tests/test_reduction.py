@@ -6,8 +6,8 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from cliquesplit import Graph, exact_max_clique, gnp_random, k_core, reduce_graph
-from cliquesplit.graphs import bit_positions
-from cliquesplit.reduction import BitsetSubproblem, Subproblem, peel_to_core
+from cliquesplit.graphs import graph_from_adjacency
+from cliquesplit.reduction import BitsetSubproblem, Subproblem, bit_positions, peel_to_core
 from cliquesplit.splitting import _choose_split_vertex
 
 from conftest import brute_max_clique, complete_graph, path_graph, random_graphs, star_graph
@@ -249,6 +249,34 @@ class TestBitsetSubproblem:
         assert sub.median_degree() == ordered[(len(ordered) - 1) // 2]
         for d in set(ordered):
             assert sub.smallest_id_of_degree(d) == min(v for v in degree if degree[v] == d)
+
+
+class TestBitPositions:
+    def test_zero_has_none(self):
+        assert bit_positions(0) == []
+
+    @given(bits=st.sets(st.integers(0, 511), max_size=60), high=st.integers(200, 520))
+    def test_ascending_over_several_rows(self, bits, high):
+        # Masks of at least 200 bits span many of the per-byte-offset rows.
+        mask = sum(1 << b for b in bits | {high})
+        assert bit_positions(mask) == sorted(bits | {high})
+
+    def test_narrow_after_wide(self):
+        assert bit_positions(1 << 300 | 1) == [0, 300]
+        assert bit_positions(0b1011) == [0, 1, 3]
+
+
+class TestBitsetGraph:
+    @given(g=random_graphs, data=st.data())
+    def test_matches_the_set_builder(self, g, data):
+        # Bit i stands for vertex labels[i]; the masks keep bits outside alive.
+        n = g.num_vertices
+        labels = sorted(data.draw(st.sets(st.integers(0, 999), min_size=n, max_size=n)))
+        masks = [sum(1 << u for u in g.neighbors(v)) for v in range(n)]
+        keep = data.draw(st.sets(st.integers(0, n - 1)))
+        out = BitsetSubproblem(labels, masks, sum(1 << v for v in keep)).graph()
+        adj = {labels[v]: {labels[u] for u in g.neighbors(v) & keep} for v in keep}
+        assert out == graph_from_adjacency(adj)
 
 
 class TestPruneThreshold:

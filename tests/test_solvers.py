@@ -370,6 +370,62 @@ class TestSolveMcFacade:
             assert result.solver_name == name
 
 
+def restart_repair(g, selected):
+    """The repair as a rescan from the first pair after every drop: drop the
+    endpoint of the first non-adjacent pair that is smaller by (degree, id)."""
+    chosen = set(selected)
+    while True:
+        ordered = sorted(chosen)
+        violation = next(((u, v) for u, v in itertools.combinations(ordered, 2) if not g.has_edge(u, v)), None)
+        if violation is None:
+            return chosen
+        chosen.discard(min(violation, key=lambda w: (g.degree(w), w)))
+
+
+repair_graphs = st.builds(
+    gnp_random,
+    n=st.integers(min_value=1, max_value=25),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+
+
+class TestRepairToClique:
+    @given(g=repair_graphs, data=st.data())
+    def test_one_pass_is_the_restart_loop(self, g, data):
+        selected = data.draw(st.sets(st.integers(0, g.num_vertices - 1)))
+        out = solvers._repair_to_clique(g, selected)
+        assert out <= selected
+        assert is_clique(g, out)
+        assert out == restart_repair(g, selected)
+
+    @given(g=repair_graphs, data=st.data())
+    def test_pair_drops_lower_degree_then_smaller_id(self, g, data):
+        pairs = [(u, v) for u, v in itertools.combinations(range(g.num_vertices), 2) if not g.has_edge(u, v)]
+        if not pairs:
+            return
+        u, v = data.draw(st.sampled_from(pairs))
+        kept = max((u, v), key=lambda w: (g.degree(w), w))
+        assert solvers._repair_to_clique(g, {u, v}) == {kept}
+
+    def test_pair_examples(self):
+        assert solvers._repair_to_clique(Graph(4, [(1, 2), (1, 3)]), {0, 1}) == {1}  # 0 has lower degree
+        assert solvers._repair_to_clique(Graph(4, [(0, 2), (0, 3)]), {0, 1}) == {0}  # 1 has lower degree
+        assert solvers._repair_to_clique(Graph(2), {0, 1}) == {1}  # tie: the smaller id goes
+
+    @given(g=repair_graphs, data=st.data())
+    def test_descent_minimum_needs_no_repair(self, g, data):
+        # A 1-flip minimum of the clique QUBO (penalty above reward) holds
+        # no non-adjacent pair and is never empty, so the repair only acts
+        # on sa-qubo's best-seen assignment.
+        n = g.num_vertices
+        starts = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=4))
+        x, _ = solvers._best_descent(mc_to_qubo(g), starts)
+        chosen = {i for i, b in enumerate(x) if b}
+        assert chosen and is_clique(g, chosen)
+        assert solvers._repair_to_clique(g, chosen) == chosen
+
+
 class TestGetSubsolver:
     def test_rejects_a_seed_it_would_ignore(self):
         with pytest.raises(ValueError, match="SplitConfig.seed"):
@@ -400,6 +456,24 @@ class TestBinarySearch:
 
     def test_empty_graph(self):
         assert binary_search_max_clique(Graph(0), lambda k: True) == 0
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_contract_over_every_predicate(self, n):
+        # Monotone or not, every predicate on 1..n gets a k with pred(k)
+        # true (or k == 1) and pred(k + 1) false (or k == n).
+        for truth in itertools.product((False, True), repeat=n):
+            probes = []
+
+            def pred(k, truth=truth, probes=probes):
+                probes.append(k)
+                return truth[k - 1]
+
+            k = binary_search_max_clique(Graph(n), pred)
+            assert 1 <= k <= n
+            assert truth[k - 1] or k == 1
+            assert k == n or not truth[k]
+            assert len(set(probes)) == len(probes)
+            assert len(probes) <= math.ceil(math.log2(n))
 
     def test_exact_predicate_matches_oracle(self):
         for seed in range(15):
