@@ -258,11 +258,17 @@ def parse_dimacs(text: str) -> Graph:
 
 def write_dimacs(g: Graph) -> str:
     """Serialize to DIMACS; parse(write(g)) reproduces ids and edges."""
-    lines = [f"p edge {g.num_vertices} {g.num_edges}"]
+    # One string per vertex, not per edge, so the rows hold about the
+    # text's size instead of several times it. Each row opens with its
+    # own line break; the text's last one is appended at the end.
+    rows = [f"p edge {g.num_vertices} {g.num_edges}"]
     for u in g.vertices():
-        prefix = f"e {u + 1} "
-        lines += [f"{prefix}{v + 1}" for v in sorted(g.neighbors(u)) if v > u]
-    return "\n".join(lines) + "\n"
+        later = [f"{v + 1}" for v in sorted(g.neighbors(u)) if v > u]
+        if later:
+            sep = f"\ne {u + 1} "
+            rows.append(sep + sep.join(later))
+    rows.append("\n")
+    return "".join(rows)
 
 
 def complement(g: Graph) -> Graph:
@@ -293,22 +299,24 @@ def gnp_random(n: int, p: float, seed: int) -> Graph:
     if p == 1.0:
         adj = [set(range(n)) - {v} for v in range(n)]
         return Graph._from_adj(adj)
-    lp = math.log1p(-p)
-    rng = random.Random(seed)
+    lp = math.log1p(-p)  # negative, since 0 < p < 1
+    draw = random.Random(seed).random
+    log1p = math.log1p
+    limit = n * n
     adj: list[set[int]] = [set() for _ in range(n)]
     v, w = 1, -1
-    while v < n:
-        lr = math.log1p(-rng.random())
-        ratio = lr / lp if lp != 0.0 else math.inf
-        if not math.isfinite(ratio) or ratio > n * n:
-            break  # the skip jumps past every remaining pair
+    while True:
+        ratio = log1p(-draw()) / lp
+        if not ratio <= limit:
+            break  # the skip jumps past every remaining pair (or is inf or nan)
         w += 1 + int(ratio)
-        while w >= v and v < n:
+        while w >= v:  # walk the rows of the lower triangle
             w -= v
             v += 1
-        if v < n:
-            adj[v].add(w)
-            adj[w].add(v)
+            if v == n:
+                return Graph._from_adj(adj)
+        adj[v].add(w)
+        adj[w].add(v)
     return Graph._from_adj(adj)
 
 

@@ -1,5 +1,7 @@
+import hashlib
 import random
 import re
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
@@ -146,6 +148,26 @@ class TestWriteDimacs:
     def test_empty_graph(self):
         assert write_dimacs(Graph(5)) == "p edge 5 0\n"
 
+    def test_exact_text(self):
+        # Vertex 2 is isolated, and vertex 4's only neighbour has a smaller id.
+        g = Graph(5, [(3, 4), (1, 3), (0, 3), (0, 1)])
+        assert write_dimacs(g) == "p edge 5 4\ne 1 2\ne 1 4\ne 2 4\ne 4 5\n"
+
+    def test_peak_memory_stays_near_the_text_size(self):
+        # One string per edge held 7.9 times the text here.
+        g = gnp_random(5000, 20 / 4999, 1)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            text = write_dimacs(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak <= 3 * len(text)
+
     @given(g=random_graphs)
     def test_round_trip(self, g):
         back = parse_dimacs(write_dimacs(g))
@@ -219,6 +241,23 @@ class TestGnpRandom:
     def test_rejects_an_expected_edge_count_above_the_cap_before_allocating(self, n, p, expected):
         with pytest.raises(ValueError, match=f"^expected edge count {expected} above the limit {MAX_EDGES}$"):
             gnp_random(n, p, 0)
+
+    # SHA-256 prefixes of repr(sorted(g.edges())), recorded before the skip
+    # loop was tightened: every draw and float operation must stay the same.
+    @pytest.mark.parametrize(
+        "n, p, seed, digest",
+        [
+            (2, 0.5, 0, "4f53cda18c2baa0c"),  # no edge
+            (2, 0.5, 1, "4c461d4a0ab0fe42"),  # one edge
+            (1000, 1e-12, 0, "4f53cda18c2baa0c"),  # the first skip passes every pair
+            (60, 0.999, 4, "3c02eb5a92b8698f"),  # 1768 edges, long row walks
+            (500, 0.3, 1, "37deae4e0127120e"),
+            (5000, 20 / 4999, 7, "a239cca174fa4f13"),
+        ],
+    )
+    def test_edge_set_pinned(self, n, p, seed, digest):
+        edges = sorted(gnp_random(n, p, seed).edges())
+        assert hashlib.sha256(repr(edges).encode()).hexdigest()[:16] == digest
 
     def test_edge_count_within_three_sigma(self):
         # 990 pairs at p = 0.5: mean 495, sd ~ 15.7; average 100 seeds.
