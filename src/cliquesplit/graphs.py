@@ -260,7 +260,7 @@ def write_dimacs(g: Graph) -> str:
     """Serialize to DIMACS; parse(write(g)) reproduces ids and edges."""
     # One string per vertex, not per edge, so the rows hold about the
     # text's size instead of several times it. Each row opens with its
-    # own line break; the text's last one is appended at the end.
+    # own line break, so the header takes none and one more ends the text.
     rows = [f"p edge {g.num_vertices} {g.num_edges}"]
     for u in g.vertices():
         later = [f"{v + 1}" for v in sorted(g.neighbors(u)) if v > u]

@@ -154,7 +154,7 @@ class TestWriteDimacs:
         assert write_dimacs(g) == "p edge 5 4\ne 1 2\ne 1 4\ne 2 4\ne 4 5\n"
 
     def test_peak_memory_stays_near_the_text_size(self):
-        # One string per edge held 7.9 times the text here.
+        # A writer that holds one string per edge peaks at 7.9 times the text here.
         g = gnp_random(5000, 20 / 4999, 1)
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
@@ -242,8 +242,8 @@ class TestGnpRandom:
         with pytest.raises(ValueError, match=f"^expected edge count {expected} above the limit {MAX_EDGES}$"):
             gnp_random(n, p, 0)
 
-    # SHA-256 prefixes of repr(sorted(g.edges())), recorded before the skip
-    # loop was tightened: every draw and float operation must stay the same.
+    # SHA-256 prefixes of repr(sorted(g.edges())), recorded at b25ea62: any
+    # change to a draw or a float operation of the skip loop changes them.
     @pytest.mark.parametrize(
         "n, p, seed, digest",
         [
