@@ -13,6 +13,18 @@ contracted Chimera graphs, the split driver's set-based subproblems) goes
 through it; given the ``parent`` graph, it composes the parent's labels
 so each level maps back to the input. The split driver's bitset
 subproblems renumber their masks themselves (``reduction``).
+
+The builders that compute neighbour ids per edge (``parse_dimacs``,
+``gnp_random``, ``complement`` and ``graph_from_adjacency``) store one
+shared int object per vertex id, so the adjacency sets of an n-vertex
+graph, and every set or dict the split driver copies from them, hold at
+most n distinct objects. Ids above 256 are outside CPython's small-int
+cache; without the sharing, each edge endpoint would be its own heap
+object, and every set probe, dict lookup and ``min`` would compare
+through scattered memory. ``Graph(n, edges)`` adopts the caller's
+objects instead of mapping them: a caller that already shares one object
+per id keeps that, and one that does not pays nothing extra for it.
+``hamming_graph`` computes its ids with ``^`` and does not share them.
 """
 
 from __future__ import annotations
@@ -204,13 +216,29 @@ def parse_dimacs(text: str) -> Graph:
     """
     n: int | None = None
     m = p_line = 0
+    ids: list[int] = []  # ids[u] is the one object for 1-based u, worth u - 1
     heads: list[int] = []  # 0-based endpoints of the e lines, in order
     tails: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
-        if not parts or parts[0].startswith("c"):
+        if not parts:
             continue
-        if parts[0] == "p":
+        if parts[0] == "e":
+            if n is None:
+                raise DimacsError(f"line {lineno}: edge before problem line")
+            if len(parts) < 3:
+                raise DimacsError(f"line {lineno}: expected 'e u v'")
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise DimacsError(f"line {lineno}: non-integer edge endpoints") from None
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise DimacsError(f"line {lineno}: vertex id out of [1, {n}]")
+            if u == v:
+                raise DimacsError(f"line {lineno}: self-loop at vertex {u}")
+            heads.append(ids[u])
+            tails.append(ids[v])
+        elif parts[0] == "p":
             if n is not None:
                 raise DimacsError(f"line {lineno}: duplicate problem line")
             if len(parts) < 4 or parts[1] not in ("edge", "col"):
@@ -224,23 +252,9 @@ def parse_dimacs(text: str) -> Graph:
                 raise DimacsError(f"line {lineno}: negative vertex count")
             if n > MAX_VERTICES:
                 raise DimacsError(f"line {lineno}: vertex count {n} above the limit {MAX_VERTICES}")
+            ids = list(range(-1, n))
             p_line = lineno
-        elif parts[0] == "e":
-            if n is None:
-                raise DimacsError(f"line {lineno}: edge before problem line")
-            if len(parts) < 3:
-                raise DimacsError(f"line {lineno}: expected 'e u v'")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise DimacsError(f"line {lineno}: non-integer edge endpoints") from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise DimacsError(f"line {lineno}: vertex id out of [1, {n}]")
-            if u == v:
-                raise DimacsError(f"line {lineno}: self-loop at vertex {u}")
-            heads.append(u - 1)
-            tails.append(v - 1)
-        else:
+        elif not parts[0].startswith("c"):
             raise DimacsError(f"line {lineno}: unrecognized line {raw.strip()[:30]!r}")
     if n is None:
         raise DimacsError("missing problem line")
@@ -297,12 +311,14 @@ def gnp_random(n: int, p: float, seed: int) -> Graph:
     if p == 0.0 or n < 2:
         return Graph(n)
     if p == 1.0:
-        adj = [set(range(n)) - {v} for v in range(n)]
+        full = set(range(n))
+        adj = [full - {v} for v in range(n)]
         return Graph._from_adj(adj)
     lp = math.log1p(-p)  # negative, since 0 < p < 1
     draw = random.Random(seed).random
     log1p = math.log1p
     limit = n * n
+    ids = list(range(n))
     adj: list[set[int]] = [set() for _ in range(n)]
     v, w = 1, -1
     while True:
@@ -315,8 +331,8 @@ def gnp_random(n: int, p: float, seed: int) -> Graph:
             v += 1
             if v == n:
                 return Graph._from_adj(adj)
-        adj[v].add(w)
-        adj[w].add(v)
+        adj[v].add(ids[w])
+        adj[w].add(ids[v])
     return Graph._from_adj(adj)
 
 
