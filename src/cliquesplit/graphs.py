@@ -17,8 +17,8 @@ subproblems renumber their masks themselves (``reduction``).
 The builders that compute neighbour ids per edge (``parse_dimacs``,
 ``gnp_random``, ``complement`` and ``graph_from_adjacency``) store one
 shared int object per vertex id, so the adjacency sets of an n-vertex
-graph, and every set or dict the split driver copies from them, hold at
-most n distinct objects. Ids above 256 are outside CPython's small-int
+graph, and every set the split driver copies from them, hold at most n
+distinct objects. Ids above 256 are outside CPython's small-int
 cache; without the sharing, each edge endpoint would be its own heap
 object, and every set probe, dict lookup and ``min`` would compare
 through scattered memory. ``Graph(n, edges)`` adopts the caller's

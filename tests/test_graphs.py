@@ -179,19 +179,20 @@ def distinct_neighbor_objects(g: Graph) -> int:
     return len({id(x) for v in g.vertices() for x in g.neighbors(v)})
 
 
-class TestOneObjectPerId:
-    # n = 600 puts most ids above CPython's small-int cache (-5..256), where
-    # an int computed per edge endpoint is a new object each time.
-    G600 = gnp_random(600, 0.05, 1)
+# n = 600 puts most ids above CPython's small-int cache (-5..256), where an
+# int computed per edge endpoint is a new object each time.
+G600 = gnp_random(600, 0.05, 1)
 
+
+class TestOneObjectPerId:
     @pytest.mark.parametrize(
         "build",
         [
-            pytest.param(lambda: parse_dimacs(write_dimacs(TestOneObjectPerId.G600)), id="parse_dimacs"),
-            pytest.param(lambda: gnp_random(600, 0.05, 1), id="gnp_random"),
+            pytest.param(lambda: parse_dimacs(write_dimacs(G600)), id="parse_dimacs"),
+            pytest.param(lambda: G600, id="gnp_random"),
             pytest.param(lambda: gnp_random(400, 1.0, 0), id="gnp_random-complete"),
-            pytest.param(lambda: complement(TestOneObjectPerId.G600), id="complement"),
-            pytest.param(lambda: induced_subgraph(TestOneObjectPerId.G600, range(1, 600, 2)), id="induced_subgraph"),
+            pytest.param(lambda: complement(G600), id="complement"),
+            pytest.param(lambda: induced_subgraph(G600, range(1, 600, 2)), id="induced_subgraph"),
         ],
     )
     def test_neighbor_sets_hold_at_most_n_objects(self, build):
@@ -200,7 +201,7 @@ class TestOneObjectPerId:
 
     def test_round_trip_above_the_small_int_cache(self):
         # The hypothesis round trip draws n <= 14, inside the cache.
-        assert parse_dimacs(write_dimacs(self.G600)) == self.G600
+        assert parse_dimacs(write_dimacs(G600)) == G600
 
 
 class TestGraphInvariants:
