@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 
 from .graphs import Graph, gnp_random, hamming_graph, parse_dimacs
 from .chimera import ChimeraSpec, chimera_graph, contract_random_edges
-from .solvers import SOLVER_NAMES, get_subsolver
+from .solvers import backend, get_subsolver
 from .splitting import SplitConfig, split_solve
 
 GRAPH_SOURCES = ("gnp", "chimera", "cm", "hamming", "dimacs")
@@ -53,8 +53,7 @@ class BenchConfig:
     def __post_init__(self):
         if self.graph not in GRAPH_SOURCES:
             raise ValueError(f"unknown graph source {self.graph!r}")
-        if self.solver not in SOLVER_NAMES:
-            raise ValueError(f"unknown solver {self.solver!r}; expected one of {SOLVER_NAMES}")
+        backend(self.solver)  # raises ValueError for an unknown name
         if self.vertex_limit < 1:
             raise ValueError("vertex_limit must be >= 1")
         if self.repetitions < 1:

@@ -20,7 +20,7 @@ from .chimera import clique_capacity
 from .graphs import DimacsError, Graph, parse_dimacs, write_dimacs
 from .qubo import evaluate, mc_to_qubo, write_qubo
 from .reduction import k_core, reduce_graph
-from .solvers import SOLVER_NAMES, SolverConfig, SolverError, solve_mc
+from .solvers import BACKENDS, SOLVER_NAMES, SolverConfig, SolverError, solve_mc
 from .splitting import SplitConfig, split_solve
 
 USAGE_ERROR = 1
@@ -48,15 +48,6 @@ def _write_output(text: str, out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
-
-
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        seed=args.seed,
-        budget=args.budget,
-        alpha=args.alpha,
-        num_reads=args.num_reads,
-    )
 
 
 def build_parser() -> _Parser:
@@ -102,18 +93,15 @@ def build_parser() -> _Parser:
     split.add_argument("--seed", type=int, default=0)
     split.add_argument("--out", default=None)
 
-    solve = sub.add_parser(
-        "solve",
-        help="run one subproblem solver directly",
-        epilog="Each backend reads only some options: sampler and descent ignore --budget and --alpha, "
-        "exact ignores --alpha and --num-reads, and sa-clique and sa-qubo ignore --num-reads.",
-    )
+    reads = "; ".join(f"{name}: --{' --'.join(b.reads)}".replace("_", "-") for name, b in BACKENDS.items())
+    epilog = f"Besides --seed, each backend reads only these options and refuses the others: {reads}."
+    solve = sub.add_parser("solve", help="run one subproblem solver directly", epilog=epilog)
     solve.add_argument("input")
     solve.add_argument("--solver", choices=SOLVER_NAMES, default="exact")
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--budget", type=int, default=None, help="moves (sa-*) or branch nodes (exact)")
-    solve.add_argument("--alpha", type=float, default=0.9996, help="cooling factor (sa-clique, sa-qubo)")
-    solve.add_argument("--num-reads", type=int, default=500, help="samples (sampler) or restarts (descent)")
+    solve.add_argument("--budget", type=int, default=None, help="annealing moves or branch nodes")
+    solve.add_argument("--alpha", type=float, default=SolverConfig.alpha, help="cooling factor")
+    solve.add_argument("--num-reads", type=int, default=SolverConfig.num_reads, help="samples or restarts")
 
     qubo = sub.add_parser("qubo", help="emit the clique QUBO of a graph")
     qubo.add_argument("--from-graph", required=True, metavar="FILE")
@@ -173,13 +161,13 @@ def _cmd_split(args) -> int:
 
 def _cmd_solve(args) -> int:
     g = _read_graph(args.input)
-    cfg = _solver_config(args)
+    cfg = SolverConfig(seed=args.seed, budget=args.budget, alpha=args.alpha, num_reads=args.num_reads)
     begin = time.perf_counter()
     result = solve_mc(g, args.solver, cfg)
     wall = time.perf_counter() - begin
     print(f"clique_size={result.size}")
     print(f"vertices={' '.join(str(v) for v in sorted(result.vertices))}")
-    if args.solver in ("sa-qubo", "descent", "sampler"):
+    if BACKENDS[args.solver].qubo:
         x = [1 if v in result.vertices else 0 for v in range(g.num_vertices)]
         energy = evaluate(mc_to_qubo(g), x) if g.num_vertices else 0.0  # the empty graph has no QUBO
         print(f"energy={energy:g}")

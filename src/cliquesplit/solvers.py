@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
-from typing import Callable, Protocol, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -73,10 +73,8 @@ class SolverConfig:
     half of the uphill probe moves would be accepted. ``num_reads`` is the
     sample count for ``sampler`` and the restart count for ``descent``.
 
-    So ``sampler`` and ``descent`` ignore ``budget`` and ``alpha`` (the
-    sampler anneals each read for ``MOCK_SAMPLER_BUDGET`` moves at
-    ``MOCK_SAMPLER_ALPHA``), ``exact`` ignores ``alpha``, ``num_reads``
-    and ``seed``, and ``sa-clique`` and ``sa-qubo`` ignore ``num_reads``.
+    ``BACKENDS`` lists the fields each backend reads; ``backend`` refuses
+    a non-default field that the chosen backend does not read.
     """
 
     seed: int = 0
@@ -563,73 +561,88 @@ def binary_search_max_clique(g: Graph, has_clique_of_size: Callable[[int], bool]
     return lo
 
 
-SOLVER_NAMES = ("exact", "sa-clique", "sa-qubo", "descent", "sampler")
+def _run_sa_clique(g: Graph, cfg: SolverConfig) -> CliqueResult:
+    witnesses: dict[int, set[int]] = {}
+
+    def has_clique_of_size(m: int) -> bool:
+        for attempt in range(SA_CLIQUE_RESTARTS):
+            sub_seed = (cfg.seed * 1_000_003 + m) * 97 + attempt
+            found = sa_clique(g, m, replace(cfg, seed=sub_seed))
+            if found is not None:
+                witnesses[m] = found
+                return True
+        return False
+
+    size = binary_search_max_clique(g, has_clique_of_size)
+    return clique_result(g, witnesses.get(size, {0}), "sa-clique")
+
+
+def _decoded(g: Graph, x: Sequence[int], solver_name: str) -> CliqueResult:
+    return clique_result(g, _repair_to_clique(g, {i for i, b in enumerate(x) if b}) or {0}, solver_name)
+
+
+def _run_descent(g: Graph, cfg: SolverConfig) -> CliqueResult:
+    rng = np.random.default_rng(cfg.seed)
+    starts = [rng.integers(0, 2, size=g.num_vertices) for _ in range(cfg.num_reads)]
+    return _decoded(g, _best_descent(mc_to_qubo(g), starts)[0], "descent")
+
+
+class Backend(NamedTuple):
+    run: Callable[[Graph, SolverConfig], CliqueResult]
+    reads: tuple[str, ...]  # the SolverConfig fields run reads besides seed
+    qubo: bool  # whether run decodes an assignment of the clique QUBO
+
+
+# Runners look the module's functions up at call time, so a patched attribute reaches every call.
+BACKENDS = {
+    "exact": Backend(lambda g, cfg: exact_max_clique(g, cfg.budget), ("budget",), False),
+    "sa-clique": Backend(_run_sa_clique, ("budget", "alpha"), False),
+    "sa-qubo": Backend(
+        lambda g, cfg: _decoded(g, sa_qubo(mc_to_qubo(g), cfg)[0], "sa-qubo"), ("budget", "alpha"), True
+    ),
+    "descent": Backend(_run_descent, ("num_reads",), True),
+    "sampler": Backend(
+        lambda g, cfg: _decoded(g, sampler_solve(mc_to_qubo(g), mock_sampler, cfg)[0], "sampler"),
+        ("num_reads",),
+        True,
+    ),
+}
+SOLVER_NAMES = tuple(BACKENDS)
+
+
+def backend(name: str, cfg: SolverConfig = SolverConfig()) -> Backend:
+    """The entry of ``name``; ValueError for an unknown name, or for a field
+    of ``cfg`` besides ``seed`` that is not at its default and not read."""
+    if name not in BACKENDS:
+        raise ValueError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
+    for f in fields(cfg):
+        if f.name != "seed" and f.name not in BACKENDS[name].reads and getattr(cfg, f.name) != f.default:
+            raise ValueError(f"{name} would ignore {f.name}; it reads {', '.join(BACKENDS[name].reads)}")
+    return BACKENDS[name]
+
+
+def _solved(g: Graph, name: str, entry: Backend, cfg: SolverConfig) -> CliqueResult:
+    if g.num_vertices == 0:
+        return CliqueResult(frozenset(), 0, name)
+    return replace(entry.run(g, cfg), stats=CliqueStats(subproblems_solved=1, reductions=0))
 
 
 def solve_mc(g: Graph, solver_name: str, cfg: SolverConfig = SolverConfig()) -> CliqueResult:
-    """Uniform facade: run any backend and return a verified CliqueResult.
-
-    QUBO-based backends decode the best assignment and repair any
-    violated pairs by dropping endpoints (lowest degree first).
-    """
-    if solver_name not in SOLVER_NAMES:
-        raise ValueError(f"unknown solver {solver_name!r}; expected one of {SOLVER_NAMES}")
-    if g.num_vertices == 0:
-        return CliqueResult(frozenset(), 0, solver_name)
-    stats = CliqueStats(subproblems_solved=1, reductions=0)
-
-    if solver_name == "exact":
-        res = exact_max_clique(g, budget=cfg.budget)
-        return CliqueResult(res.vertices, res.size, "exact", stats)
-
-    if solver_name == "sa-clique":
-        witnesses: dict[int, set[int]] = {}
-
-        def has_clique_of_size(m: int) -> bool:
-            for attempt in range(SA_CLIQUE_RESTARTS):
-                sub_seed = (cfg.seed * 1_000_003 + m) * 97 + attempt
-                found = sa_clique(g, m, replace(cfg, seed=sub_seed))
-                if found is not None:
-                    witnesses[m] = found
-                    return True
-            return False
-
-        size = binary_search_max_clique(g, has_clique_of_size)
-        witness = witnesses.get(size, {min(range(g.num_vertices))})
-        return clique_result(g, witness, "sa-clique", stats)
-
-    q = mc_to_qubo(g)
-    if solver_name == "sa-qubo":
-        x, _ = sa_qubo(q, cfg)
-    elif solver_name == "descent":
-        rng = np.random.default_rng(cfg.seed)
-        x, _ = _best_descent(q, [rng.integers(0, 2, size=g.num_vertices) for _ in range(cfg.num_reads)])
-    else:  # sampler
-        x, _ = sampler_solve(q, mock_sampler, cfg)
-    selected = _repair_to_clique(g, {i for i, b in enumerate(x) if b})
-    if not selected:
-        selected = {min(range(g.num_vertices))}
-    return clique_result(g, selected, solver_name, stats)
+    """Uniform facade: run any backend and return a verified CliqueResult."""
+    return _solved(g, solver_name, backend(solver_name, cfg), cfg)
 
 
 SubSolver = Callable[[Graph, int], CliqueResult]
 
 
 def get_subsolver(name: str, cfg: SolverConfig | None = None) -> SubSolver:
-    """A (graph, seed) -> CliqueResult callable for the split driver.
-
-    Each call runs ``name`` with ``cfg`` and the call's seed, so ``cfg``
-    must leave ``seed`` at its default.
-    """
-    if name not in SOLVER_NAMES:
-        raise ValueError(f"unknown solver {name!r}; expected one of {SOLVER_NAMES}")
+    """A (graph, seed) -> CliqueResult callable for the split driver, checked
+    once, here. Each call runs ``name`` with ``cfg`` and the call's seed, so
+    ``cfg`` must leave ``seed`` at its default."""
     base = cfg if cfg is not None else SolverConfig()
+    entry = backend(name, base)
     if base.seed != SolverConfig.seed:
         raise ValueError(
             "get_subsolver ignores cfg.seed: the split driver draws each call's seed from SplitConfig.seed"
         )
-
-    def run(g: Graph, seed: int) -> CliqueResult:
-        return solve_mc(g, name, replace(base, seed=seed))
-
-    return run
+    return lambda g, seed: _solved(g, name, entry, replace(base, seed=seed))

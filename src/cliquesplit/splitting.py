@@ -37,7 +37,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import solvers
 # perfbench patches peel_to_core and graph_from_adjacency here by name. Its tracer alone
@@ -86,7 +86,7 @@ class _Driver:
     a strictly larger clique replaces it, so ties keep the first one found.
     """
 
-    def __init__(self, cfg: SplitConfig, solver: Callable[[Graph, int], CliqueResult]):
+    def __init__(self, cfg: SplitConfig, solver: solvers.SubSolver):
         self.vertex_limit = cfg.vertex_limit
         self.solver = solver
         self.rng = random.Random(cfg.seed)
@@ -160,7 +160,7 @@ class _Driver:
 def split_solve(
     g: Graph,
     cfg: SplitConfig,
-    solver: Callable[[Graph, int], CliqueResult] | None = None,
+    solver: solvers.SubSolver | None = None,
 ) -> CliqueResult:
     """Decompose ``g`` and return a maximum clique (for an exact subsolver).
 

@@ -154,6 +154,23 @@ class TestSolve:
         assert "clique_size=0" in out
         assert "energy=0" in out
 
+    def test_refuses_an_option_the_backend_would_ignore(self, tmp_path, capsys):
+        src = tmp_path / "path.clq"
+        src.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+        code, out, err = run_cli(["solve", str(src), "--solver", "sampler", "--budget", "5"], capsys)
+        assert (code, out) == (1, "")
+        assert "budget" in err
+        code, _, err = run_cli(["solve", str(src), "--solver", "exact", "--seed", "4"], capsys)
+        assert (code, err) == (0, "")
+
+    def test_help_lists_each_backends_options(self, capsys):
+        code, out, _ = run_cli(["solve", "--help"], capsys)
+        assert code == 0
+        text = " ".join(out.split())
+        for reads in ["exact: --budget;", "sa-clique: --budget --alpha;", "sa-qubo: --budget --alpha;",
+                      "descent: --num-reads;", "sampler: --num-reads."]:
+            assert reads in text
+
     def test_budget_exhaustion_is_solver_failure(self, tmp_path, capsys):
         src = tmp_path / "g.clq"
         from cliquesplit import gnp_random, write_dimacs

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -361,7 +362,9 @@ class TestSolveMcFacade:
 
     @pytest.mark.parametrize("name", ["exact", "sa-clique", "sa-qubo", "descent", "sampler"])
     def test_every_backend_returns_valid_clique(self, name):
-        cfg = SolverConfig(seed=13, num_reads=20)
+        # Only descent and sampler read num_reads; the others refuse it.
+        reads = {"descent": 20, "sampler": 20}.get(name, SolverConfig.num_reads)
+        cfg = SolverConfig(seed=13, num_reads=reads)
         for seed in range(5):
             g = gnp_random(18, 0.5, seed)
             result = solve_mc(g, name, cfg)
@@ -433,9 +436,48 @@ class TestGetSubsolver:
 
     def test_each_call_runs_with_its_own_seed(self):
         g = gnp_random(30, 0.5, 1)
-        solver = get_subsolver("sa-qubo", SolverConfig(num_reads=20))
+        solver = get_subsolver("sa-qubo", SolverConfig(budget=3000))
         for seed in (3, 11):
-            assert solver(g, seed) == solve_mc(g, "sa-qubo", SolverConfig(seed=seed, num_reads=20))
+            assert solver(g, seed) == solve_mc(g, "sa-qubo", SolverConfig(seed=seed, budget=3000))
+
+
+# Every (backend, SolverConfig field it does not read), with a non-default value.
+UNREAD_FIELDS = [
+    ("exact", "alpha", 0.5),
+    ("exact", "num_reads", 20),
+    ("sa-clique", "num_reads", 20),
+    ("sa-qubo", "num_reads", 20),
+    ("descent", "budget", 100),
+    ("descent", "alpha", 0.5),
+    ("sampler", "budget", 100),
+    ("sampler", "alpha", 0.5),
+]
+
+
+class TestBackendFields:
+    @pytest.mark.parametrize("name, field, value", UNREAD_FIELDS)
+    def test_refuses_a_field_it_would_ignore(self, name, field, value):
+        cfg = SolverConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"ignore {field};"):
+            solve_mc(gnp_random(10, 0.5, 1), name, cfg)
+        with pytest.raises(ValueError, match=f"ignore {field};"):
+            get_subsolver(name, cfg)  # refused when built, before any call
+
+    @pytest.mark.parametrize(
+        "name, cfg",
+        [
+            ("exact", SolverConfig(budget=10_000)),
+            ("sa-clique", SolverConfig(budget=2000, alpha=0.99)),
+            ("sa-qubo", SolverConfig(budget=2000, alpha=0.99)),
+            ("descent", SolverConfig(num_reads=7)),
+            ("sampler", SolverConfig(num_reads=7)),
+        ],
+    )
+    def test_accepts_a_seed_and_the_fields_it_reads(self, name, cfg):
+        g = gnp_random(18, 0.5, 2)
+        result = solve_mc(g, name, replace(cfg, seed=4))
+        assert is_clique(g, result.vertices) and result.size >= 1
+        assert get_subsolver(name, cfg)(g, 4) == result
 
 
 class TestBinarySearch:
