@@ -16,7 +16,7 @@ import csv
 import statistics
 import sys
 
-from cliquesplit import clique_capacity, gnp_random, sweep_vertex_limit
+from cliquesplit import BenchConfig, clique_capacity, gnp_random, sweep_vertex_limit
 
 BASE_QUBITS = 1152
 CURRENT_USABLE_LIMIT = 45  # defect-adjusted capacity of the base machine
@@ -29,7 +29,7 @@ def main() -> int:
     parser.add_argument("--graph-seed", type=int, default=20260809)
     parser.add_argument("--seeds", type=int, default=10)
     parser.add_argument("--doublings", type=int, default=4)
-    parser.add_argument("--per-call-seconds", type=float, default=0.15)
+    parser.add_argument("--per-call-seconds", type=float, default=BenchConfig.per_call_time_model_s)
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
 

@@ -18,6 +18,7 @@ import io
 import re
 import statistics
 import time
+import typing
 from dataclasses import dataclass, fields, replace
 
 from .graphs import Graph, gnp_random, hamming_graph, parse_dimacs
@@ -53,6 +54,8 @@ class BenchConfig:
     def __post_init__(self):
         if self.graph not in GRAPH_SOURCES:
             raise ValueError(f"unknown graph source {self.graph!r}")
+        if self.graph == "dimacs" and not self.path:
+            raise ValueError("graph = dimacs needs a path")
         backend(self.solver)  # raises ValueError for an unknown name
         if self.vertex_limit < 1:
             raise ValueError("vertex_limit must be >= 1")
@@ -181,25 +184,25 @@ def emit_csv(records: list[RunRecord]) -> str:
     return out.getvalue()
 
 
-_INT_KEYS = {
-    "n",
-    "rows",
-    "cols",
-    "shore",
-    "contractions",
-    "word_length",
-    "min_distance",
-    "vertex_limit",
-    "repetitions",
-}
-_FLOAT_KEYS = {"p", "avg_degree", "per_call_time_model_s"}
+_KEY_TYPES = typing.get_type_hints(BenchConfig)
 _COMMENT = re.compile(r"(?:^|\s)#.*")
+
+
+def _parse_value(kind: object, value: str) -> object:
+    """``value`` as a field of type ``kind``; a tuple is comma-separated."""
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        return tuple(item(tok) for tok in value.split(",") if tok.strip())
+    if typing.get_origin(kind) is not None:
+        kind = typing.get_args(kind)[0]
+    return kind(value)
 
 
 def parse_config(text: str) -> BenchConfig:
     """Parse the flat ``key = value`` experiment file format.
 
-    A ``#`` that starts a line or follows whitespace starts a comment.
+    Each key is a ``BenchConfig`` field, read as that field's type. A
+    ``#`` that starts a line or follows whitespace starts a comment.
     """
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -212,16 +215,9 @@ def parse_config(text: str) -> BenchConfig:
         key = key.strip()
         value = value.strip()
         try:
-            if key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            elif key == "seeds":
-                values[key] = tuple(int(tok) for tok in value.split(",") if tok.strip())
-            elif key in {"experiment", "graph", "solver", "path"}:
-                values[key] = value
-            else:
+            if key not in _KEY_TYPES:
                 raise ValueError(f"unknown key {key!r}")
+            values[key] = _parse_value(_KEY_TYPES[key], value)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return BenchConfig(**values)  # type: ignore[arg-type]

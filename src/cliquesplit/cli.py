@@ -62,16 +62,16 @@ def build_parser() -> _Parser:
     gnp.add_argument("--seed", type=int, default=0)
     gnp.add_argument("--out", default=None)
     chim = gen_sub.add_parser("chimera", help="Chimera grid of complete bipartite cells")
-    chim.add_argument("--rows", type=int, default=12)
-    chim.add_argument("--cols", type=int, default=12)
-    chim.add_argument("--shore", type=int, default=4)
+    chim.add_argument("--rows", type=int, default=BenchConfig.rows)
+    chim.add_argument("--cols", type=int, default=BenchConfig.cols)
+    chim.add_argument("--shore", type=int, default=BenchConfig.shore)
     chim.add_argument("--out", default=None)
     cm = gen_sub.add_parser("cm", help="Chimera with random edge contractions")
     cm.add_argument("--contractions", type=int, required=True)
     cm.add_argument("--seed", type=int, default=0)
-    cm.add_argument("--rows", type=int, default=12)
-    cm.add_argument("--cols", type=int, default=12)
-    cm.add_argument("--shore", type=int, default=4)
+    cm.add_argument("--rows", type=int, default=BenchConfig.rows)
+    cm.add_argument("--cols", type=int, default=BenchConfig.cols)
+    cm.add_argument("--shore", type=int, default=BenchConfig.shore)
     cm.add_argument("--out", default=None)
     ham = gen_sub.add_parser("hamming", help="binary words, edges at distance >= d")
     ham.add_argument("--word-length", type=int, required=True)

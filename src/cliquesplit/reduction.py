@@ -22,6 +22,13 @@ random numbers as the set engine would. Both engines prune through
 The bitset format lives here alone: ``bit_positions`` lists a mask's
 bits, and ``BitsetSubproblem.graph`` renumbers a bitset item into the
 compact ``Graph`` its subsolver reads.
+
+Both engines keep each subgraph a ``core_bound``-core: ``reduce`` ends on
+a peel at its bound, and ``split_at`` re-peels the split vertex's
+neighbors, so ``reduce`` scans every vertex only when its bound exceeds
+``core_bound``. The split driver's bound for an item, the incumbent's
+size minus the anchor's, never falls; k-cores are unique and nest, so
+the order of the peels does not change the vertex set they reach.
 """
 
 from __future__ import annotations
@@ -186,17 +193,14 @@ class Subproblem:
                 self._refile(n, len(adj[n]) + 1, len(adj[n]))
         return [centre, *doomed]
 
-    def reduce(self, lower_bound: int, rng: random.Random, touched: Iterable[int] | None = None) -> None:
+    def reduce(self, lower_bound: int, rng: random.Random) -> None:
         """Core, edge prune around one uniformly random surviving vertex,
         then re-peel the region the prune touched.
 
-        When the subgraph is already a core at this bound and ``touched``
-        names every vertex whose degree dropped since, the first peel can
-        start from just those vertices instead of scanning everything.
+        The first peel scans every vertex only when ``lower_bound`` exceeds
+        ``core_bound``; at or below it the subgraph is already a core.
         """
-        if touched is not None and lower_bound <= self.core_bound:
-            peel_to_core(self, lower_bound, candidates=touched)
-        else:
+        if lower_bound > self.core_bound:
             peel_to_core(self, lower_bound)
         self.core_bound = lower_bound
         if self.adj:
@@ -209,15 +213,18 @@ class Subproblem:
         """The vertex ids."""
         return self.adj.keys()
 
-    def split_at(self, v: int) -> tuple["BitsetSubproblem", set[int]]:
-        """Cut out the neighborhood subgraph of ``v``, anchored at ``v``, then delete ``v``.
-
-        Returns the child and the vertices whose degree the deletion lowered.
-        """
+    def split_at(self, v: int) -> "BitsetSubproblem":
+        """Cut out and return the neighborhood subgraph of ``v``, anchored at
+        ``v``; then delete ``v`` and re-peel its neighbors at ``core_bound``."""
         nb = self.adj[v]
         child = BitsetSubproblem.from_adjacency(self.adj, nb, self.anchor | {v})
         self.remove_vertex(v)
-        return child, nb
+        peel_to_core(self, self.core_bound, candidates=nb)
+        return child
+
+    def graph(self) -> Graph:
+        """The subgraph as a compact Graph labelled by input ids."""
+        return graph_from_adjacency(self.adj)
 
 
 class BitsetSubproblem:
@@ -285,15 +292,14 @@ class BitsetSubproblem:
         ids, degrees = self.degrees()
         return ids[degrees.index(degree)]
 
-    def split_at(self, v: int) -> tuple["BitsetSubproblem", int]:
-        """Cut out the neighborhood subgraph of bit ``v``, anchored at its
-        vertex, then delete ``v``. Returns the child and the mask of the
-        vertices whose degree the deletion lowered."""
+    def split_at(self, v: int) -> "BitsetSubproblem":
+        """``Subproblem.split_at`` at bit ``v``: the child copies the mask list."""
         nb = self.masks[v] & self.alive
         child = BitsetSubproblem(self.labels, self.masks.copy(), nb, self.anchor | {self.labels[v]})
         self.alive ^= 1 << v
         self._degrees = None
-        return child, nb
+        self._peel(self.core_bound, nb)
+        return child
 
     def graph(self) -> Graph:
         """The subgraph as a compact Graph labelled by input ids: the bits
@@ -346,14 +352,12 @@ class BitsetSubproblem:
         masks[centre] &= ~dropped
         return dropped | 1 << centre
 
-    def reduce(self, lower_bound: int, rng: random.Random, touched: int | None = None) -> None:
-        """``Subproblem.reduce`` on masks, with ``touched`` a mask: the same
-        peels, the same random centre (the r-th surviving bit, ascending,
-        for the same draw r) and the same prune."""
+    def reduce(self, lower_bound: int, rng: random.Random) -> None:
+        """``Subproblem.reduce`` on masks: the same peels, the same random centre
+        (the r-th surviving bit, ascending, for the same draw r) and prune."""
         self._degrees = None
-        if touched is None or lower_bound > self.core_bound:
-            touched = self.alive
-        self._peel(lower_bound, touched)
+        if lower_bound > self.core_bound:
+            self._peel(lower_bound, self.alive)
         self.core_bound = lower_bound
         if self.alive:
             ids = bit_positions(self.alive)

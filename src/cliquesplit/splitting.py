@@ -13,15 +13,16 @@ subsolver: every subproblem, including a whole graph that already fits
 the limit, reaches the subsolver there, so a failure always carries its
 subproblem.
 
-Two engines serve the driver through the same steps (``split``,
-``reduce_and_dispatch``, ``solve`` and the one selector
-``_choose_split_vertex``). The root side, which is the input's core or a
-graph that fits whole, is a set-based ``reduction.Subproblem``. Every
-neighborhood subgraph is a ``reduction.BitsetSubproblem``: one int mask
-per vertex over the sorted ids of N(v) when cut from the root, and over
-its parent's index space, with a copy of the parent's masks, when cut
-from another bitset item. Both engines take the same decisions, so
-results do not depend on which one holds an item.
+Both engines give the driver one item interface, and it uses nothing
+else: ``size``, ``anchor``, ``members()``, the degree queries
+``_choose_split_vertex`` reads, ``split_at(v)``, which returns the
+neighborhood child, ``reduce(lower_bound, rng)`` and ``graph()``. The
+root side, the input's core or a graph that fits whole, is a set-based
+``reduction.Subproblem``; every neighborhood subgraph is a
+``reduction.BitsetSubproblem``, with masks over the sorted ids of N(v)
+when cut from the root, or over a copy of its parent's when cut from
+another bitset item. Both engines take the same decisions, so results do
+not depend on which one holds an item.
 
 Queue items carry an *anchor*: vertices adjacent to everything in the
 item (accumulated split vertices), so a clique of size k inside the item
@@ -40,10 +41,11 @@ from operator import attrgetter
 from typing import Iterable, Sequence
 
 from . import solvers
-# perfbench patches peel_to_core and graph_from_adjacency here by name. Its tracer alone
-# resolves auto_ch_partition and ch_partition here, which split_solve never calls; that
-# import goes with the benchmark revision that drops both entries.
-from .graphs import CliqueResult, CliqueStats, Graph, clique_result, graph_from_adjacency
+from .graphs import CliqueResult, CliqueStats, Graph, clique_result
+# perfbench patches peel_to_core here by name. Its tracer alone resolves graph_from_adjacency,
+# auto_ch_partition and ch_partition here, which split_solve never calls (items build their
+# own Graph); those imports go with the benchmark revision that drops their entries.
+from .graphs import graph_from_adjacency  # noqa: F401
 from .partitioning import auto_ch_partition, ch_partition  # noqa: F401
 from .reduction import BitsetSubproblem, Subproblem, peel_to_core
 from .solvers import SolverError, SubproblemSolveError
@@ -107,7 +109,7 @@ class _Driver:
 
     def solve(self, item: Item) -> None:
         """Hand ``item`` to the subsolver and offer its clique plus the anchor."""
-        subgraph = item.graph() if isinstance(item, BitsetSubproblem) else graph_from_adjacency(item.adj)
+        subgraph = item.graph()
         seed = self.rng.getrandbits(63)
         self.calls += 1
         try:
@@ -136,21 +138,17 @@ class _Driver:
         v = _choose_split_vertex(item, self.vertex_limit)
         # The child is cut before the remainder is reduced; its anchor is
         # the item's extended by v.
-        child, touched = item.split_at(v)
+        child = item.split_at(v)
         bound = self.lower_bound
-        self.reduce_and_dispatch(item, bound, touched=touched)
+        self.reduce_and_dispatch(item, bound)
         # An oversize neighborhood subgraph re-enters the worklist with its
         # anchor extended; recombination stays exact.
         self.reduce_and_dispatch(child, bound)
 
-    def reduce_and_dispatch(self, item: Item, bound: int, touched: Iterable[int] | int | None = None) -> None:
-        """Reduce ``item`` against ``bound``, then solve it if it fits, else queue it.
-
-        ``touched`` names the vertices whose degree fell since the item was
-        last reduced, in the item's own form: ids, or a mask of bits.
-        """
+    def reduce_and_dispatch(self, item: Item, bound: int) -> None:
+        """Reduce ``item`` against ``bound``, then solve it if it fits, else queue it."""
         self.reductions += 1
-        item.reduce(max(bound - len(item.anchor), 0), self.rng, touched=touched)
+        item.reduce(max(bound - len(item.anchor), 0), self.rng)
         if item.size > self.vertex_limit:
             self.queue(item)
         elif item.size:

@@ -1,5 +1,6 @@
 import csv
 import io
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,25 @@ class TestParseConfig:
         assert cfg.p == 0.25
         assert cfg.seeds == (1, 2, 3)
         assert cfg.repetitions == 2
+
+    def test_every_field_round_trips(self):
+        cfg = BenchConfig(
+            experiment="all", graph="dimacs", n=7, p=0.5, avg_degree=2.5, rows=3, cols=2, shore=5,
+            contractions=9, word_length=6, min_distance=3, path="g.dimacs", solver="sa-clique",
+            vertex_limit=11, seeds=(4, 8), repetitions=3, per_call_time_model_s=0.25,
+        )
+        lines = []
+        for f in fields(BenchConfig):
+            value = getattr(cfg, f.name)
+            assert value != f.default, f.name  # the file sets every field away from its default
+            lines.append(f"{f.name} = {', '.join(map(str, value)) if isinstance(value, tuple) else value}")
+        assert parse_config("\n".join(lines)) == cfg
+
+    def test_dimacs_needs_a_path(self):
+        with pytest.raises(ValueError, match="path"):
+            BenchConfig(graph="dimacs")
+        with pytest.raises(ValueError, match="path"):
+            parse_config("graph = dimacs\n")
 
     def test_vertex_limit_zero_is_rejected_before_any_run(self):
         with pytest.raises(ValueError, match="vertex_limit must be >= 1"):

@@ -229,6 +229,13 @@ class TestBench:
         cfg.write_text("nonsense = 1\n")
         assert main(["bench", str(cfg)]) == 1
 
+    def test_dimacs_without_a_path_names_it(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("graph = dimacs\n")
+        code, out, err = run_cli(["bench", str(cfg)], capsys)
+        assert (code, out) == (1, "")
+        assert "path" in err and "No such file" not in err
+
 
 def test_readme_commands_parse():
     # Every command of README's CLI block, comment removed, is one the parser

@@ -226,13 +226,14 @@ class TestBitsetSubproblem:
             assert bits.min_degree() == sets.min_degree()
             nb = sets.adj[v]
             expected = {u: sets.adj[u] & nb for u in nb}
-            child_s, touched_s = sets.split_at(v)
-            child_b, touched_b = bits.split_at(bits.labels.index(v))
+            child_s = sets.split_at(v)
+            child_b = bits.split_at(bits.labels.index(v))
             for child in (child_s, child_b):
                 assert bitset_adjacency(child) == expected and child.anchor == {v}
-            assert {bits.labels[i] for i in bit_positions(touched_b)} == set(touched_s) == set(nb)
-            sets.reduce(bound, rng_s, touched=touched_s)
-            bits.reduce(bound, rng_b, touched=touched_b)
+            # Both remainders lost v and re-peeled its neighbors alike.
+            assert v not in sets.adj and bitset_adjacency(bits) == sets.adj
+            sets.reduce(bound, rng_s)
+            bits.reduce(bound, rng_b)
             self.assert_same(sets, bits, rng_s, rng_b)
             child_s.reduce(bound, rng_s)
             child_b.reduce(bound, rng_b)
@@ -358,8 +359,49 @@ class TestCliquesAboveTheBound:
                     continue
                 at = _choose_split_vertex(sub, limit)
                 v = at if sub is sets else sub.labels[at]
-                child, touched = sub.split_at(at)
-                sub.reduce(bound, rng, touched=touched)
+                child = sub.split_at(at)
+                sub.reduce(bound, rng)
                 child.reduce(max(bound - 1, 0), rng)  # the child's anchor is {v}
                 for c in above:
                     assert holds(child, c - {v}) if v in c else holds(sub, c)
+
+
+class TestCoreBound:
+    """Between driver steps every item is a core at its ``core_bound``:
+    reduce passes at bounds that never fall, each followed by splits, leave
+    each live vertex with at least that many neighbors, in both engines alike."""
+
+    @given(
+        g=st.builds(
+            gnp_random,
+            n=st.integers(min_value=0, max_value=12),
+            p=st.floats(min_value=0.0, max_value=1.0),
+            seed=st.integers(min_value=0, max_value=2**32),
+        ),
+        seed=st.integers(min_value=0, max_value=2**32),
+        data=st.data(),
+    )
+    def test_every_live_vertex_meets_the_core_bound(self, g, seed, data):
+        sets = Subproblem.from_graph(g)
+        bits = BitsetSubproblem.from_adjacency(sets.adj, set(sets.adj))
+        rng_s, rng_b = random.Random(seed), random.Random(seed)
+
+        def check():
+            assert sorted(sets.members()) == list(bits.members())
+            assert bitset_adjacency(bits) == sets.adj
+            for sub, adj in ((sets, sets.adj), (bits, bitset_adjacency(bits))):
+                assert all(len(nbrs) >= sub.core_bound for nbrs in adj.values())
+
+        bound = 0
+        for rise, splits in data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)), max_size=6)):
+            bound += rise
+            sets.reduce(bound, rng_s)
+            bits.reduce(bound, rng_b)
+            check()
+            for _ in range(splits):
+                if not sets.size:
+                    break
+                v = data.draw(st.sampled_from(sorted(sets.adj)))
+                sets.split_at(v)
+                bits.split_at(bits.labels.index(v))
+                check()

@@ -1,5 +1,7 @@
 import gc
+import importlib.util
 import random
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -251,3 +253,15 @@ class TestSweepVertexLimit:
     def test_limits_must_ascend(self):
         with pytest.raises(ValueError):
             sweep_vertex_limit(complete_graph(3), [5, 2], seed=0)
+
+
+def test_every_traced_attribute_resolves():
+    # The benchmark's tracer wraps these module attributes by name; a
+    # rename in the program must fail here, not only in its self-check.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.PATCHES
+    for module, attr, _, _ in spans.PATCHES:
+        assert callable(getattr(importlib.import_module(f"cliquesplit.{module}"), attr)), (module, attr)
