@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 import statistics
 import time
@@ -61,8 +62,8 @@ class BenchConfig:
             raise ValueError("vertex_limit must be >= 1")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.per_call_time_model_s < 0:
-            raise ValueError("per_call_time_model_s must be non-negative")
+        if not 0 <= self.per_call_time_model_s < math.inf:
+            raise ValueError("per_call_time_model_s must be finite and non-negative")
         if not self.seeds:
             raise ValueError("need at least one seed")
 

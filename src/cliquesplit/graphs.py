@@ -164,6 +164,11 @@ class CliqueStats:
     subproblems_solved: int = 0
     reductions: int = 0
 
+    @property
+    def subsolver_calls(self) -> int:
+        """Real subsolver invocations: every solved subproblem is one call."""
+        return self.subproblems_solved
+
 
 @dataclass(frozen=True)
 class CliqueResult:

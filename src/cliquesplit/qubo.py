@@ -27,6 +27,8 @@ class PenaltyParams:
     penalty: float = 2.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.reward) and math.isfinite(self.penalty)):
+            raise ValueError("reward and penalty must be finite")
         if self.reward <= 0:
             raise ValueError("reward must be positive")
         if self.penalty <= self.reward:
@@ -219,11 +221,19 @@ def brute_force_min(q: Qubo) -> tuple[list[int], float]:
     return assignment, best_energy
 
 
+def _finite(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"coefficient {token!r} is not finite")
+    return value
+
+
 def parse_qubo(text: str) -> Qubo:
     """Parse the plain-text format: ``N <int>``, ``L i coeff``, ``Q i j coeff``, each term once.
 
     The ``N`` line may come anywhere; an index outside [0, N) is reported
-    with the line of its term once the whole text is read.
+    with the line of its term once the whole text is read. A coefficient
+    that is not finite (``nan``, ``inf``) is refused with its line.
     """
     n: int | None = None
     linear: dict[int, float] = {}
@@ -245,7 +255,7 @@ def parse_qubo(text: str) -> Qubo:
                 i = int(parts[1])
                 if i in linear:
                     raise ValueError(f"duplicate linear index {i}")
-                linear[i] = float(parts[2])
+                linear[i] = _finite(parts[2])
                 term_line[i] = lineno
             elif parts[0] == "Q" and len(parts) == 4:
                 i, j = sorted((int(parts[1]), int(parts[2])))
@@ -253,7 +263,7 @@ def parse_qubo(text: str) -> Qubo:
                     raise ValueError(f"diagonal quadratic key ({i}, {j}); fold into linear")
                 if (i, j) in quadratic:
                     raise ValueError(f"duplicate quadratic key ({i}, {j})")
-                quadratic[(i, j)] = float(parts[3])
+                quadratic[(i, j)] = _finite(parts[3])
                 term_line[(i, j)] = lineno
             else:
                 raise ValueError(f"unrecognized line {line[:30]!r}")

@@ -21,7 +21,8 @@ random numbers as the set engine would. Both engines prune through
 ``prune_low_overlap_edges(centre, lower_bound)``, around one centre.
 The bitset format lives here alone: ``bit_positions`` lists a mask's
 bits, and ``BitsetSubproblem.graph`` renumbers a bitset item into the
-compact ``Graph`` its subsolver reads.
+compact ``Graph`` its subsolver reads, with one numpy unpack of the live
+rows per item rather than one bit listing per row.
 
 Both engines keep each subgraph a ``core_bound``-core: ``reduce`` ends on
 a peel at its bound, and ``split_at`` re-peels the split vertex's
@@ -37,6 +38,8 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from .graphs import Graph, graph_from_adjacency
 
@@ -304,11 +307,25 @@ class BitsetSubproblem:
     def graph(self) -> Graph:
         """The subgraph as a compact Graph labelled by input ids: the bits
         of ``alive`` are renumbered 0..k-1 in ascending order, so the
-        Graph's vertex order is input id order."""
+        Graph's vertex order is input id order.
+
+        The renumbering is one numpy unpack per item: the k live rows'
+        masks, each written out in whole bytes over all of ``labels``,
+        become one k-row bit matrix; its live columns are kept, and each
+        row's nonzero columns are that vertex's neighbors.
+        """
         masks, alive = self.masks, self.alive
+        if not alive:
+            return Graph(0)
         ids = bit_positions(alive)
-        index = dict(zip(ids, range(len(ids))))
-        adj = [set(map(index.__getitem__, bit_positions(masks[i] & alive))) for i in ids]
+        k = len(ids)
+        width = (len(self.labels) + 7) >> 3
+        data = b"".join([masks[i].to_bytes(width, "little") for i in ids])
+        bits = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little").reshape(k, -1)[:, ids]
+        rows, cols = bits.nonzero()
+        cuts = np.searchsorted(rows, np.arange(k + 1)).tolist()
+        cols = cols.tolist()
+        adj = [set(cols[a:b]) for a, b in zip(cuts, cuts[1:])]
         return Graph._from_adj(adj, map(self.labels.__getitem__, ids))
 
     def _peel(self, k: int, candidates: int) -> None:

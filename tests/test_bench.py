@@ -204,3 +204,10 @@ class TestParseConfig:
             BenchConfig(repetitions=0)
         with pytest.raises(ValueError):
             BenchConfig(per_call_time_model_s=-1.0)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_fee_rejected(self, value):
+        with pytest.raises(ValueError, match="per_call_time_model_s must be finite"):
+            parse_config(f"per_call_time_model_s = {value}\n")
+        with pytest.raises(ValueError, match="per_call_time_model_s must be finite"):
+            BenchConfig(per_call_time_model_s=float(value))

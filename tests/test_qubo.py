@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -67,6 +68,14 @@ class TestMcToQubo:
             PenaltyParams(reward=1.0, penalty=1.0)
         with pytest.raises(ValueError):
             PenaltyParams(reward=0.0, penalty=2.0)
+
+    @pytest.mark.parametrize(
+        "reward, penalty",
+        [(math.nan, 2.0), (1.0, math.nan), (1.0, math.inf), (math.inf, math.inf), (-math.inf, 2.0)],
+    )
+    def test_non_finite_params_rejected(self, reward, penalty):
+        with pytest.raises(ValueError, match="finite"):
+            PenaltyParams(reward=reward, penalty=penalty)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
@@ -253,6 +262,19 @@ class TestQuboText:
         ids=["diagonal", "linear-high", "linear-negative", "quadratic-high", "n-last", "negative-n"],
     )
     def test_index_errors_name_the_line(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_qubo(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("N 2\nL 0 nan\nL 1 -1\nQ 0 1 inf\n", "line 2: coefficient 'nan' is not finite"),
+            ("N 2\nL 0 -1\nL 1 -1\nQ 0 1 inf\n", "line 4: coefficient 'inf' is not finite"),
+            ("N 2\nQ 1 0 -Infinity\n", "line 2: coefficient '-Infinity' is not finite"),
+        ],
+        ids=["nan-linear", "inf-quadratic", "negative-infinity"],
+    )
+    def test_non_finite_coefficients_name_the_line(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_qubo(text)
 

@@ -279,6 +279,65 @@ class TestBitsetGraph:
         adj = {labels[v]: {labels[u] for u in g.neighbors(v) & keep} for v in keep}
         assert out == graph_from_adjacency(adj)
 
+    @given(
+        g=st.builds(
+            gnp_random,
+            n=st.integers(min_value=1, max_value=80),
+            p=st.floats(min_value=0.0, max_value=1.0),
+            seed=st.integers(min_value=0, max_value=2**32),
+        ),
+        data=st.data(),
+    )
+    def test_wide_masks_with_stale_bits(self, g, data):
+        # Label spaces of 1-80 bits, so a row's byte count is rarely a
+        # multiple of anything; alive drops vertices whose bits stay in
+        # the masks, and some dropped edges keep one side's bit.
+        n = g.num_vertices
+        labels = sorted(data.draw(st.sets(st.integers(0, 9999), min_size=n, max_size=n)))
+        masks = [sum(1 << u for u in g.neighbors(v)) for v in range(n)]
+        edges = sorted((u, v) for u in range(n) for v in g.neighbors(u))
+        if edges:
+            for u, v in data.draw(st.lists(st.sampled_from(edges), max_size=10)):
+                masks[u] &= ~(1 << v)
+        alive = sum(1 << v for v in data.draw(st.sets(st.integers(0, n - 1))))
+        item = BitsetSubproblem(labels, masks, alive)
+        assert item.graph() == graph_from_adjacency(bitset_adjacency(item))
+
+    @given(g=random_graphs, data=st.data())
+    def test_a_split_child_shares_the_parents_labels(self, g, data):
+        adj = Subproblem.from_graph(g).adj
+        members = data.draw(st.sets(st.integers(0, g.num_vertices - 1), min_size=1))
+        parent = BitsetSubproblem.from_adjacency(adj, members)
+        v = data.draw(st.sampled_from(bit_positions(parent.alive)))
+        child = parent.split_at(v)
+        assert child.labels is parent.labels
+        nb = adj[parent.labels[v]] & members
+        assert child.graph() == graph_from_adjacency({u: adj[u] & nb for u in nb})
+        rest = members - {parent.labels[v]}
+        assert parent.graph() == graph_from_adjacency({u: adj[u] & rest for u in rest})
+
+    def test_no_live_vertex_is_the_empty_graph(self):
+        assert BitsetSubproblem([], [], 0).graph() == Graph(0)
+        assert BitsetSubproblem([3, 5, 9], [0b110, 0b101, 0b011], 0).graph() == Graph(0)
+
+    def test_one_live_vertex_has_no_neighbors(self):
+        # Its mask keeps the bits of both dead neighbors.
+        out = BitsetSubproblem([3, 5, 9], [0b110, 0b101, 0b011], 0b010).graph()
+        assert out.num_vertices == 1 and out.num_edges == 0 and out.label(0) == 5
+
+    @pytest.mark.parametrize("width", [7, 8, 9, 63, 64, 65])
+    def test_the_last_bit_of_every_width(self, width):
+        # A complete graph on width bits with every other vertex alive, and
+        # the top bit alive whatever its parity.
+        full = (1 << width) - 1
+        labels = [10 * i for i in range(width)]
+        masks = [full ^ 1 << i for i in range(width)]
+        alive = sum(1 << i for i in range(0, width, 2)) | 1 << width - 1
+        out = BitsetSubproblem(labels, masks, alive).graph()
+        live = [labels[i] for i in bit_positions(alive)]
+        assert out == graph_from_adjacency({u: set(live) - {u} for u in live})
+        assert out.label(out.num_vertices - 1) == labels[-1]
+
 
 class TestPruneThreshold:
     """An edge survives the prune at bound b exactly when its endpoints

@@ -17,6 +17,7 @@ from cliquesplit import (
     get_subsolver,
     gnp_random,
     is_clique,
+    solve_mc,
     split_solve,
     sweep_vertex_limit,
 )
@@ -231,6 +232,22 @@ class TestSplitSolve:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SplitConfig(vertex_limit=0)
+
+
+class TestSubsolverCalls:
+    def test_split_solve_counts_each_real_call(self):
+        calls = []
+
+        def counting(subgraph, seed):
+            calls.append(subgraph.num_vertices)
+            return exact_max_clique(subgraph)
+
+        stats = split_solve(gnp_random(120, 0.3, 4), SplitConfig(vertex_limit=20, seed=1), solver=counting).stats
+        assert stats.subsolver_calls == stats.subproblems_solved == len(calls) > 1
+
+    def test_solve_mc_is_one_call(self, k5):
+        stats = solve_mc(k5, "exact").stats
+        assert stats.subsolver_calls == stats.subproblems_solved == 1
 
 
 class TestSweepVertexLimit:
