@@ -203,9 +203,12 @@ def parse_config(text: str) -> BenchConfig:
     """Parse the flat ``key = value`` experiment file format.
 
     Each key is a ``BenchConfig`` field, read as that field's type. A
-    ``#`` that starts a line or follows whitespace starts a comment.
+    ``#`` that starts a line or follows whitespace starts a comment. A
+    value the config refuses is blamed on the first key, in file order,
+    that the default config refuses with the same message.
     """
     values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT.sub("", raw).strip()
         if not line:
@@ -221,4 +224,14 @@ def parse_config(text: str) -> BenchConfig:
             values[key] = _parse_value(_KEY_TYPES[key], value)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return BenchConfig(**values)  # type: ignore[arg-type]
+        lines[key] = lineno
+    try:
+        return BenchConfig(**values)  # type: ignore[arg-type]
+    except ValueError as exc:
+        for key in sorted(lines, key=lines.__getitem__):
+            try:
+                replace(BenchConfig(), **{key: values[key]})
+            except ValueError as alone:
+                if str(alone) == str(exc):
+                    raise ValueError(f"line {lines[key]}: {exc}") from None
+        raise

@@ -93,7 +93,7 @@ def trivial_partition(g: Graph) -> CHPartition:
     return CHPartition([set(range(g.num_vertices))], [set()])
 
 
-def ch_partition(g: Graph, s: int, seed: int = 0, refine: bool = True) -> CHPartition:
+def ch_partition(g: Graph, s: int, refine: bool = True) -> CHPartition:
     """Heuristic CH-partition into ``s`` nonempty cores.
 
     Seeds are spread across the degree order, regions grow by
@@ -232,7 +232,7 @@ def _refine_boundary(g: Graph, assign: list[int], s: int) -> None:
         current_cost = max(core_size[r] + halo_size[r] for r in range(s))
 
 
-def auto_ch_partition(g: Graph, vertex_limit: int, seed: int = 0) -> CHPartition:
+def auto_ch_partition(g: Graph, vertex_limit: int) -> CHPartition:
     """Search s in {1, 2, 4, 8, ...} (capped near 2|V|/vertex_limit) for the
     cheapest partition.
 
@@ -250,9 +250,9 @@ def auto_ch_partition(g: Graph, vertex_limit: int, seed: int = 0) -> CHPartition
     s = 2
     max_s = min(n, max(2, (2 * n) // max(vertex_limit, 1)))
     while s <= max_s:
-        probe = ch_partition(g, s, seed, refine=False)
+        probe = ch_partition(g, s, refine=False)
         if probe.cost <= vertex_limit or probe.total_part_size <= 1.5 * n:
-            candidate = ch_partition(g, s, seed)
+            candidate = ch_partition(g, s)
             if candidate.cost < best_cost:
                 best = candidate
                 best_cost = candidate.cost

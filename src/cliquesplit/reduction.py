@@ -13,11 +13,13 @@ neighbors, so a clique of lower_bound + 1 vertices survives both steps.
 ``Subproblem`` is the reduction engine over adjacency sets. It holds only
 root-side items: ``k_core``, ``reduce_graph`` and the split driver's
 input, peeled to its core or fitting whole, peel and prune through it.
-Its degree index has one writer, and its degree queries are scans of
-that index. ``BitsetSubproblem`` runs the same reduce pass over one
-adjacency bitmask per vertex; every neighborhood subproblem the split
-driver cuts is one, and they reach the same subgraphs and draw the same
-random numbers as the set engine would. Both engines prune through
+``BitsetSubproblem`` runs the same reduce pass over one adjacency
+bitmask per vertex; every neighborhood subproblem the split driver cuts
+is one, and they reach the same subgraphs and draw the same random
+numbers as the set engine would. Both engines expose one degree index,
+``by_degree``, the vertices of each degree indexed by degree, and
+answer no degree query of their own: the split driver's vertex choice
+reads the index. Both engines prune through
 ``prune_low_overlap_edges(centre, lower_bound)``, around one centre.
 The bitset format lives here alone: ``bit_positions`` lists a mask's
 bits, and ``BitsetSubproblem.graph`` renumbers a bitset item into the
@@ -78,9 +80,10 @@ class Subproblem:
     then on kept synchronized under vertex and edge removals, while a
     subgraph that is peeled empty or solved whole never builds either.
     ``ids`` is what the reduce pass draws its random prune centre from.
-    ``_refile`` is the only writer of ``by_degree`` after the build, and
-    the degree queries only read it: each is one scan over the degrees.
-    Degrees only ever decrease here.
+    ``_refile`` is the only writer of ``by_degree`` after the build.
+    Degrees only ever decrease here, so the index is as long as the
+    largest degree at its build plus one: it may end in empty buckets,
+    and it may be shorter than ``size``.
     """
 
     __slots__ = ("adj", "anchor", "_ids", "_by_degree", "core_bound")
@@ -123,25 +126,6 @@ class Subproblem:
         self._by_degree[old].remove(v)
         if new is not None:
             self._by_degree[new].add(v)
-
-    def min_degree(self) -> int:
-        return next((d for d, vs in enumerate(self.by_degree) if vs), 0)
-
-    def max_degree(self) -> int:
-        by_degree = self.by_degree
-        return next((d for d in range(len(by_degree) - 1, 0, -1) if by_degree[d]), 0)
-
-    def median_degree(self) -> int:
-        """Lower median of the degree sequence."""
-        rank = (len(self.adj) - 1) // 2
-        for d, vs in enumerate(self.by_degree):
-            rank -= len(vs)
-            if rank < 0:
-                return d
-        return 0
-
-    def smallest_id_of_degree(self, degree: int) -> int:
-        return min(self.by_degree[degree])
 
     def remove_vertex(self, v: int, below: int = 0) -> list[int]:
         """Delete ``v`` and its edges.
@@ -240,11 +224,12 @@ class BitsetSubproblem:
     vertices, so removing a vertex clears one bit of ``alive``, and a
     child cut at ``v`` is a copy of the mask list with ``alive`` narrowed
     to ``masks[v]``. Removing an edge clears a bit in both endpoints'
-    masks, which is why each subproblem owns its list. Degrees are
-    counted when a split first asks for them, once per split.
+    masks, which is why each subproblem owns its list. ``by_degree``
+    lists the live bits of each degree, ``size`` buckets long; it is
+    counted when a split first reads it, once per split.
     """
 
-    __slots__ = ("labels", "masks", "alive", "anchor", "core_bound", "_degrees")
+    __slots__ = ("labels", "masks", "alive", "anchor", "core_bound", "_by_degree")
 
     def __init__(self, labels: list[int], masks: list[int], alive: int, anchor: frozenset[int] = frozenset()):
         self.labels = labels
@@ -252,7 +237,7 @@ class BitsetSubproblem:
         self.alive = alive
         self.anchor = anchor
         self.core_bound = -1  # largest k this subgraph is known to be a k-core of
-        self._degrees: tuple[list[int], list[int]] | None = None
+        self._by_degree: list[list[int]] | None = None
 
     @classmethod
     def from_adjacency(
@@ -272,35 +257,24 @@ class BitsetSubproblem:
         """The input ids of the vertices."""
         return map(self.labels.__getitem__, bit_positions(self.alive))
 
-    def degrees(self) -> tuple[list[int], list[int]]:
-        """The bits of ``alive``, ascending, and each one's degree."""
-        if self._degrees is None:
+    @property
+    def by_degree(self) -> list[list[int]]:
+        """The bits of ``alive`` of each degree, ascending, indexed by
+        degree; counted on first use after a ``reduce`` or ``split_at``."""
+        if self._by_degree is None:
             masks, alive = self.masks, self.alive
             ids = bit_positions(alive)
-            self._degrees = ids, [(masks[i] & alive).bit_count() for i in ids]
-        return self._degrees
-
-    def min_degree(self) -> int:
-        return min(self.degrees()[1], default=0)
-
-    def max_degree(self) -> int:
-        return max(self.degrees()[1], default=0)
-
-    def median_degree(self) -> int:
-        """Lower median of the degree sequence."""
-        degrees = sorted(self.degrees()[1])
-        return degrees[(len(degrees) - 1) // 2]
-
-    def smallest_id_of_degree(self, degree: int) -> int:
-        ids, degrees = self.degrees()
-        return ids[degrees.index(degree)]
+            self._by_degree = by_degree = [[] for _ in ids]
+            for i in ids:
+                by_degree[(masks[i] & alive).bit_count()].append(i)
+        return self._by_degree
 
     def split_at(self, v: int) -> "BitsetSubproblem":
         """``Subproblem.split_at`` at bit ``v``: the child copies the mask list."""
         nb = self.masks[v] & self.alive
         child = BitsetSubproblem(self.labels, self.masks.copy(), nb, self.anchor | {self.labels[v]})
         self.alive ^= 1 << v
-        self._degrees = None
+        self._by_degree = None
         self._peel(self.core_bound, nb)
         return child
 
@@ -372,7 +346,7 @@ class BitsetSubproblem:
     def reduce(self, lower_bound: int, rng: random.Random) -> None:
         """``Subproblem.reduce`` on masks: the same peels, the same random centre
         (the r-th surviving bit, ascending, for the same draw r) and prune."""
-        self._degrees = None
+        self._by_degree = None
         if lower_bound > self.core_bound:
             self._peel(lower_bound, self.alive)
         self.core_bound = lower_bound

@@ -166,7 +166,12 @@ def exact_max_clique(g: Graph, budget: int | None = None) -> CliqueResult:
     bit = [1 << i for i in position]
     adj = [sum(map(bit.__getitem__, g.neighbors(v))) for v in order]
 
-    search = _BranchAndBound(adj, budget, [position[v] for v in greedy_clique(g)])
+    best, cand = [], (1 << n) - 1  # greedy_clique's pass: ``order`` is its visiting order
+    for i in range(n):
+        if cand >> i & 1:
+            best.append(i)
+            cand &= adj[i]
+    search = _BranchAndBound(adj, budget, best)
     try:
         search.expand(0, (1 << n) - 1, len(search.best))
     except BudgetExceededError as exc:

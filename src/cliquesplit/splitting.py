@@ -14,15 +14,16 @@ the limit, reaches the subsolver there, so a failure always carries its
 subproblem.
 
 Both engines give the driver one item interface, and it uses nothing
-else: ``size``, ``anchor``, ``members()``, the degree queries
-``_choose_split_vertex`` reads, ``split_at(v)``, which returns the
-neighborhood child, ``reduce(lower_bound, rng)`` and ``graph()``. The
-root side, the input's core or a graph that fits whole, is a set-based
-``reduction.Subproblem``; every neighborhood subgraph is a
-``reduction.BitsetSubproblem``, with masks over the sorted ids of N(v)
-when cut from the root, or over a copy of its parent's when cut from
-another bitset item. Both engines take the same decisions, so results do
-not depend on which one holds an item.
+else: ``size``, ``anchor``, ``members()``, the degree index
+``by_degree``, ``split_at(v)``, which returns the neighborhood child,
+``reduce(lower_bound, rng)`` and ``graph()``. The clique check and
+``_choose_split_vertex``, the split-vertex rule's one home, read the
+index directly. The root side, the input's core or a graph that fits
+whole, is a set-based ``reduction.Subproblem``; every neighborhood
+subgraph is a ``reduction.BitsetSubproblem``, with masks over the sorted
+ids of N(v) when cut from the root, or over a copy of its parent's when
+cut from another bitset item. Both engines take the same decisions, so
+results do not depend on which one holds an item.
 
 Queue items carry an *anchor*: vertices adjacent to everything in the
 item (accumulated split vertices), so a clique of size k inside the item
@@ -37,6 +38,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -71,12 +73,16 @@ def _choose_split_vertex(sub: Item, vertex_limit: int) -> int:
     """The maximum degree when its neighborhood fits the solver, else the
     lower median, else the minimum degree (smallest neighborhood
     subgraph), also when nothing fits. Ties break to the smallest id.
-    Each tier's degree is read only when the tier above does not fit."""
-    for degree in (sub.max_degree, sub.median_degree):
-        d = degree()
-        if d <= vertex_limit:
-            return sub.smallest_id_of_degree(d)
-    return sub.smallest_id_of_degree(sub.min_degree())
+    The rule's one home: the engines expose only ``by_degree``."""
+    by_degree = sub.by_degree
+    degrees = [d for d, vs in enumerate(by_degree) if vs]
+    d = degrees[-1]
+    if d > vertex_limit:
+        # The lower median: the first degree whose running count exceeds (size - 1) // 2.
+        d = bisect_right(list(accumulate(map(len, by_degree))), (sub.size - 1) // 2)
+        if d > vertex_limit:
+            d = degrees[0]
+    return min(by_degree[d])
 
 
 class _Driver:
@@ -131,8 +137,9 @@ class _Driver:
                 self.split(item)
 
     def split(self, item: Item) -> None:
-        if item.min_degree() == item.size - 1:
-            # The subgraph is a clique: no solve needed.
+        by_degree, size = item.by_degree, item.size
+        if size <= len(by_degree) and len(by_degree[size - 1]) == size:
+            # A clique (every degree size - 1; a set index may be shorter): no solve.
             self.offer(item.anchor.union(item.members()))
             return
         v = _choose_split_vertex(item, self.vertex_limit)

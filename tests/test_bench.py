@@ -197,6 +197,22 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="line 1"):
             parse_config("n = lots\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("repetitions = 0\n", "line 1: repetitions must be >= 1"),
+            ("n = 5\nvertex_limit = 0\n", "line 2: vertex_limit must be >= 1"),
+            ("n = 5\n# no path\ngraph = dimacs\nvertex_limit = 3\n", "line 3: graph = dimacs needs a path"),
+            ("graph = dimacs\npath = g.txt\nvertex_limit = 0\n", "line 3: vertex_limit must be >= 1"),
+            ("n = 5\nsolver = nope\n", "line 2: unknown solver 'nope'"),
+            ("n = 5\n\nseeds =\n", "line 3: need at least one seed"),
+        ],
+    )
+    def test_refused_value_names_its_line(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_config(text)
+        assert str(info.value).startswith(message)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BenchConfig(graph="nope")

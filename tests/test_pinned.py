@@ -56,6 +56,9 @@ SPLIT_PINS = {
     (120, 0.3, 4, 20): (6, 44, 285, [20, 41, 71, 79, 112, 116]),
     (80, 0.5, 1, 10): (9, 3, 915, [2, 13, 16, 23, 25, 51, 58, 73, 79]),
     (80, 0.5, 1, 20): (9, 80, 371, [2, 13, 16, 23, 25, 51, 58, 73, 79]),
+    # No item reaches the subsolver: the driver's clique short-circuit
+    # closes 40 items as cliques instead.
+    (60, 0.8, 1, 8): (16, 0, 15393, [2, 4, 12, 15, 25, 28, 35, 39, 41, 44, 51, 52, 56, 57, 58, 59]),
 }
 
 

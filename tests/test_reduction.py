@@ -122,20 +122,35 @@ class TestReduceGraph:
         assert a.graph == b.graph
 
 
-def assert_degree_index_matches(sub):
-    """Every degree query answers what a scan of ``sub.adj`` gives, and
-    none of them changes the index."""
+def scan_split_vertex(degree: dict[int, int], limit: int) -> int:
+    """The split rule by a scan of ``degree``: the maximum degree if it is
+    at most ``limit``, else the lower median if it is, else the minimum;
+    then the smallest vertex of that degree."""
+    ordered = sorted(degree.values())
+    d = next((d for d in (ordered[-1], ordered[(len(ordered) - 1) // 2]) if d <= limit), ordered[0])
+    return min(v for v in degree if degree[v] == d)
+
+
+def assert_degree_index_matches(sub, degree: dict[int, int]):
+    """``sub.by_degree`` files each vertex (each bit, for a bitset item)
+    under its degree in ``degree`` and nowhere else, and the split rule
+    reading it picks what a scan picks at every limit from 0 to the
+    maximum degree + 1, leaving the index as it was."""
+    index = [set(vs) for vs in sub.by_degree]
+    assert sum(map(len, index)) == len(degree)
+    assert all(vs == {v for v in degree if degree[v] == d} for d, vs in enumerate(index))
+    if degree:  # the driver splits only items that hold a vertex
+        for limit in range(max(degree.values()) + 2):
+            assert _choose_split_vertex(sub, limit) == scan_split_vertex(degree, limit)
+    assert [set(vs) for vs in sub.by_degree] == index
+
+
+def assert_set_index_matches(sub: Subproblem):
+    """Both of ``sub``'s indexes agree with a scan of ``sub.adj``."""
     degree = {v: len(nbrs) for v, nbrs in sub.adj.items()}
     assert sub.size == len(degree)
     assert sub.ids == sorted(degree)
-    index = [set(vs) for vs in sub.by_degree]
-    ordered = sorted(degree.values()) or [0]  # an empty subproblem answers 0
-    assert sub.min_degree() == ordered[0]
-    assert sub.max_degree() == ordered[-1]
-    assert sub.median_degree() == ordered[(len(ordered) - 1) // 2]
-    for d in set(degree.values()):
-        assert sub.smallest_id_of_degree(d) == min(v for v in degree if degree[v] == d)
-    assert sub.by_degree == index
+    assert_degree_index_matches(sub, degree)
 
 
 class TestSubproblemDegreeIndex:
@@ -157,7 +172,7 @@ class TestSubproblemDegreeIndex:
         for step_number in range(prefix + data.draw(st.integers(min_value=1, max_value=12))):
             if step_number == prefix:
                 assert (sub._ids, sub._by_degree) == (None, None)  # no step built an index
-                assert_degree_index_matches(sub)
+                assert_set_index_matches(sub)
             vertices = sorted(sub.adj)
             steps = ["peel"] + ["vertex", "prune"] * bool(vertices)
             step = data.draw(st.sampled_from(steps))
@@ -186,13 +201,20 @@ class TestSubproblemDegreeIndex:
                 assert peel_to_core(sub, k) == before - sub.size
                 assert all(len(nbrs) >= k for nbrs in sub.adj.values())
             if step_number >= prefix:
-                assert_degree_index_matches(sub)
+                assert_set_index_matches(sub)
 
 
 def bitset_adjacency(sub: BitsetSubproblem) -> dict[int, set[int]]:
     """``sub`` as adjacency sets over input ids."""
     ids = bit_positions(sub.alive)
     return {sub.labels[i]: {sub.labels[j] for j in bit_positions(sub.masks[i] & sub.alive)} for i in ids}
+
+
+def degree_classes(sub: Subproblem | BitsetSubproblem) -> dict[int, set[int]]:
+    """Each degree of ``sub.by_degree`` that holds a vertex, mapped to its
+    vertices' input ids."""
+    label = sub.labels.__getitem__ if isinstance(sub, BitsetSubproblem) else int
+    return {d: set(map(label, vs)) for d, vs in enumerate(sub.by_degree) if vs}
 
 
 class TestBitsetSubproblem:
@@ -223,7 +245,7 @@ class TestBitsetSubproblem:
         while sets.size:
             v = _choose_split_vertex(sets, limit)
             assert bits.labels[_choose_split_vertex(bits, limit)] == v
-            assert bits.min_degree() == sets.min_degree()
+            assert degree_classes(bits) == degree_classes(sets)
             nb = sets.adj[v]
             expected = {u: sets.adj[u] & nb for u in nb}
             child_s = sets.split_at(v)
@@ -242,14 +264,12 @@ class TestBitsetSubproblem:
 
     @given(g=random_graphs, data=st.data())
     def test_degree_queries_match_a_scan(self, g, data):
+        # Bit i stands for vertex i; some rows keep bits of dead vertices.
         sub = BitsetSubproblem.from_adjacency(Subproblem.from_graph(g).adj, set(range(g.num_vertices)))
         sub.alive &= data.draw(st.integers(min_value=1, max_value=2**g.num_vertices - 1))
-        degree = {v: len(nbrs) for v, nbrs in bitset_adjacency(sub).items()}
-        ordered = sorted(degree.values())
-        assert sub.min_degree() == ordered[0] and sub.max_degree() == ordered[-1]
-        assert sub.median_degree() == ordered[(len(ordered) - 1) // 2]
-        for d in set(ordered):
-            assert sub.smallest_id_of_degree(d) == min(v for v in degree if degree[v] == d)
+        assert len(sub.by_degree) == sub.size
+        assert all(bits == sorted(bits) for bits in sub.by_degree)
+        assert_degree_index_matches(sub, {v: len(nbrs) for v, nbrs in bitset_adjacency(sub).items()})
 
 
 class TestBitPositions:

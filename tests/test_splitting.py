@@ -21,6 +21,7 @@ from cliquesplit import (
     split_solve,
     sweep_vertex_limit,
 )
+from cliquesplit.reduction import BitsetSubproblem
 from cliquesplit.splitting import Subproblem, _choose_split_vertex, _Driver
 
 from conftest import brute_max_clique, complete_graph, star_graph, wheel5
@@ -52,22 +53,31 @@ class TestDriverWorklist:
         assert driver.incumbent == frozenset({5, 6, 7}) and driver.lower_bound == 3
 
 
+def both_engines(g: Graph) -> tuple[Subproblem, BitsetSubproblem]:
+    """``g`` as a set-based item and as a bitset item whose bit i is vertex i."""
+    sets = Subproblem.from_graph(g)
+    return sets, BitsetSubproblem.from_adjacency(sets.adj, set(sets.adj))
+
+
 class TestChooseSplitVertex:
     """The driver's selector: the maximum degree when it fits vertex_limit,
-    else the lower median, else the minimum; ties go to the smallest id."""
+    else the lower median, else the minimum; ties go to the smallest id.
+    Items built from a graph are checked on both engines."""
 
     def test_star_hub_first(self):
-        assert _choose_split_vertex(Subproblem.from_graph(star_graph(4)), vertex_limit=10) == 0
+        for sub in both_engines(star_graph(4)):
+            assert _choose_split_vertex(sub, vertex_limit=10) == 0
 
     def test_complete_graph_tie_break(self):
-        sub = Subproblem.from_graph(complete_graph(4))
-        assert _choose_split_vertex(sub, vertex_limit=10) == 0
-        assert sub.min_degree() == sub.size - 1  # the driver short-circuits a clique
+        for sub in both_engines(complete_graph(4)):
+            assert _choose_split_vertex(sub, vertex_limit=10) == 0
+            # Every vertex has degree size - 1: the driver short-circuits a clique.
+            assert set(sub.by_degree[sub.size - 1]) == {0, 1, 2, 3}
 
     def test_wheel_lower_median_smallest_id(self):
-        sub = Subproblem.from_graph(wheel5())  # hub degree 4, rim degrees 3
-        assert _choose_split_vertex(sub, vertex_limit=4) == 0
-        assert _choose_split_vertex(sub, vertex_limit=3) == 1  # lower median 3, smallest id
+        for sub in both_engines(wheel5()):  # hub degree 4, rim degrees 3
+            assert _choose_split_vertex(sub, vertex_limit=4) == 0
+            assert _choose_split_vertex(sub, vertex_limit=3) == 1  # lower median 3, smallest id
 
     def test_degree_sequence(self):
         # Ids 10..14 with degrees 1, 2, 2, 3, 5. The neighbor sets name
@@ -86,7 +96,8 @@ class TestChooseSplitVertex:
         assert _choose_split_vertex(sub, vertex_limit=4) == 11
         assert _choose_split_vertex(sub, vertex_limit=3) == 10  # minimum 3
         assert _choose_split_vertex(sub, vertex_limit=2) == 10
-        assert _choose_split_vertex(Subproblem.from_graph(wheel5()), vertex_limit=2) == 1
+        for sub in both_engines(wheel5()):
+            assert _choose_split_vertex(sub, vertex_limit=2) == 1
 
     def test_follows_removals(self):
         sub = Subproblem.from_graph(wheel5())
