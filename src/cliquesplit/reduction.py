@@ -11,12 +11,13 @@ c-clique has degree c - 1 or more and every edge of it c - 2 common
 neighbors, so a clique of lower_bound + 1 vertices survives both steps.
 
 ``Subproblem`` is the reduction engine over adjacency sets. It holds only
-root-side items: ``k_core``, ``reduce_graph`` and the split driver's
-input, peeled to its core or fitting whole, peel and prune through it.
-``BitsetSubproblem`` runs the same reduce pass over one adjacency
-bitmask per vertex; every neighborhood subproblem the split driver cuts
-is one, and they reach the same subgraphs and draw the same random
-numbers as the set engine would. Both engines expose one degree index,
+root-side items: ``k_core`` and ``reduce_graph`` peel and prune through
+it, and the split driver's input is one whenever its masks would not
+pay, a sparse root (see ``splitting``). ``BitsetSubproblem`` runs the
+same reduce pass over one adjacency bitmask per vertex; it holds a dense
+root and every neighborhood subproblem the split driver cuts, and its
+items reach the same subgraphs and draw the same random numbers as the
+set engine would. Both engines expose one degree index,
 ``by_degree``, the vertices of each degree indexed by degree, and
 answer no degree query of their own: the split driver's vertex choice
 reads the index. Both engines prune through
@@ -24,7 +25,8 @@ reads the index. Both engines prune through
 The bitset format lives here alone: ``bit_positions`` lists a mask's
 bits, and ``BitsetSubproblem.graph`` renumbers a bitset item into the
 compact ``Graph`` its subsolver reads, with one numpy unpack of the live
-rows per item rather than one bit listing per row.
+rows per item rather than one bit listing per row; a child cut from a
+bitset root is compacted onto its own labels from the same unpack.
 
 Both engines keep each subgraph a ``core_bound``-core: ``reduce`` ends on
 a peel at its bound, and ``split_at`` re-peels the split vertex's
@@ -218,13 +220,14 @@ class BitsetSubproblem:
     """A subgraph held as one adjacency bitmask per vertex, plus its anchor set.
 
     Bit i stands for the input vertex ``labels[i]``. ``labels`` ascends,
-    so bit order is id order, and every subproblem cut from this one
-    shares it. The subgraph is the vertices on the bits of ``alive`` with
-    neighborhoods ``masks[i] & alive``: a mask may keep bits of removed
-    vertices, so removing a vertex clears one bit of ``alive``, and a
-    child cut at ``v`` is a copy of the mask list with ``alive`` narrowed
-    to ``masks[v]``. Removing an edge clears a bit in both endpoints'
-    masks, which is why each subproblem owns its list. ``by_degree``
+    so bit order is id order. The subgraph is the vertices on the bits of
+    ``alive`` with neighborhoods ``masks[i] & alive``: a mask may keep
+    bits of removed vertices, so removing a vertex clears one bit of
+    ``alive``. A child cut at ``v`` from an anchored item shares its
+    labels and is a copy of the mask list with ``alive`` narrowed to
+    ``masks[v]``; a child cut from the root, the one unanchored item, is
+    compacted onto its own labels. Removing an edge clears a bit in both
+    endpoints' masks, which is why each subproblem owns its list. ``by_degree``
     lists the live bits of each degree, ``size`` buckets long; it is
     counted when a split first reads it, once per split.
     """
@@ -270,9 +273,20 @@ class BitsetSubproblem:
         return self._by_degree
 
     def split_at(self, v: int) -> "BitsetSubproblem":
-        """``Subproblem.split_at`` at bit ``v``: the child copies the mask list."""
+        """``Subproblem.split_at`` at bit ``v``. A child of an anchored item
+        shares its labels and copies the mask list. A child of the
+        unanchored item, the root, gets its own labels, the sorted ids of
+        N(v), as a set root's child does, and masks packed back from
+        ``_unpack``'s bit matrix of its rows."""
         nb = self.masks[v] & self.alive
-        child = BitsetSubproblem(self.labels, self.masks.copy(), nb, self.anchor | {self.labels[v]})
+        anchor = self.anchor | {self.labels[v]}
+        if self.anchor:
+            child = BitsetSubproblem(self.labels, self.masks.copy(), nb, anchor)
+        else:
+            ids = bit_positions(nb)
+            rows = np.packbits(self._unpack(ids), axis=1, bitorder="little")
+            masks = [int.from_bytes(row, "little") for row in rows]
+            child = BitsetSubproblem([self.labels[i] for i in ids], masks, (1 << len(ids)) - 1, anchor)
         self.alive ^= 1 << v
         self._by_degree = None
         self._peel(self.core_bound, nb)
@@ -283,24 +297,27 @@ class BitsetSubproblem:
         of ``alive`` are renumbered 0..k-1 in ascending order, so the
         Graph's vertex order is input id order.
 
-        The renumbering is one numpy unpack per item: the k live rows'
-        masks, each written out in whole bytes over all of ``labels``,
-        become one k-row bit matrix; its live columns are kept, and each
+        The renumbering is one numpy unpack per item (``_unpack``): each
         row's nonzero columns are that vertex's neighbors.
         """
-        masks, alive = self.masks, self.alive
-        if not alive:
-            return Graph(0)
-        ids = bit_positions(alive)
+        ids = bit_positions(self.alive)
         k = len(ids)
-        width = (len(self.labels) + 7) >> 3
-        data = b"".join([masks[i].to_bytes(width, "little") for i in ids])
-        bits = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little").reshape(k, -1)[:, ids]
-        rows, cols = bits.nonzero()
+        rows, cols = self._unpack(ids).nonzero()
         cuts = np.searchsorted(rows, np.arange(k + 1)).tolist()
         cols = cols.tolist()
         adj = [set(cols[a:b]) for a, b in zip(cuts, cuts[1:])]
         return Graph._from_adj(adj, map(self.labels.__getitem__, ids))
+
+    def _unpack(self, ids: list[int]) -> np.ndarray:
+        """The bits of the rows ``ids`` in the columns ``ids``, as a k × k
+        0/1 matrix: the k masks, each written out in whole bytes over all
+        of ``labels``, become one k-row bit matrix in one numpy unpack, of
+        which the columns ``ids`` are kept. Bits outside ``ids`` drop out,
+        stale ones included."""
+        width = (len(self.labels) + 7) >> 3
+        data = b"".join([self.masks[i].to_bytes(width, "little") for i in ids])
+        bits = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
+        return bits.reshape(len(ids), 8 * width)[:, ids]
 
     def _peel(self, k: int, candidates: int) -> None:
         """k-core peeling that examines the bits of ``candidates`` and the

@@ -18,12 +18,16 @@ else: ``size``, ``anchor``, ``members()``, the degree index
 ``by_degree``, ``split_at(v)``, which returns the neighborhood child,
 ``reduce(lower_bound, rng)`` and ``graph()``. The clique check and
 ``_choose_split_vertex``, the split-vertex rule's one home, read the
-index directly. The root side, the input's core or a graph that fits
-whole, is a set-based ``reduction.Subproblem``; every neighborhood
-subgraph is a ``reduction.BitsetSubproblem``, with masks over the sorted
-ids of N(v) when cut from the root, or over a copy of its parent's when
-cut from another bitset item. Both engines take the same decisions, so
-results do not depend on which one holds an item.
+index directly. The root, the input's core or a graph that fits whole,
+is peeled as a set-based ``reduction.Subproblem`` and then held as a
+``reduction.BitsetSubproblem`` when ``_masks_root`` says its masks pay:
+when n <= d̄², for its average degree d̄. A split of a bitset item
+recounts all n degrees, a split of a set item intersects about d̄²
+neighbour pairs, so the rule compares the two costs. Every neighborhood
+subgraph is a bitset item, over the sorted ids of N(v) when cut from the
+root, either engine's, or over a copy of its parent's masks when cut from
+another bitset item. Both engines take the same decisions, so results do
+not depend on which one holds an item.
 
 Queue items carry an *anchor*: vertices adjacent to everything in the
 item (accumulated split vertices), so a clique of size k inside the item
@@ -67,6 +71,12 @@ class SplitConfig:
 
 
 Item = Subproblem | BitsetSubproblem
+
+
+def _masks_root(n: int, m: int) -> bool:
+    """Whether a root of ``n`` vertices and ``m`` edges is held as masks:
+    when n <= d̄², for its average degree d̄ = 2m / n."""
+    return n**3 <= (2 * m) ** 2
 
 
 def _choose_split_vertex(sub: Item, vertex_limit: int) -> int:
@@ -185,8 +195,9 @@ def split_solve(
         driver.offer(solvers.greedy_clique(g))
         driver.reductions += 1
         peel_to_core(root, driver.lower_bound)
-    if root.size:
-        driver.queue(root)
+    if adj := root.adj:
+        masks = _masks_root(len(adj), sum(map(len, adj.values())) // 2)
+        driver.queue(BitsetSubproblem.from_adjacency(adj, set(adj)) if masks else root)
     driver.run()
     return clique_result(g, driver.incumbent, cfg.solver, CliqueStats(driver.calls, driver.reductions))
 

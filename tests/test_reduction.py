@@ -325,9 +325,10 @@ class TestBitsetGraph:
 
     @given(g=random_graphs, data=st.data())
     def test_a_split_child_shares_the_parents_labels(self, g, data):
+        # A parent with an anchor: anything but the root.
         adj = Subproblem.from_graph(g).adj
         members = data.draw(st.sets(st.integers(0, g.num_vertices - 1), min_size=1))
-        parent = BitsetSubproblem.from_adjacency(adj, members)
+        parent = BitsetSubproblem.from_adjacency(adj, members, frozenset({999}))
         v = data.draw(st.sampled_from(bit_positions(parent.alive)))
         child = parent.split_at(v)
         assert child.labels is parent.labels
@@ -335,6 +336,42 @@ class TestBitsetGraph:
         assert child.graph() == graph_from_adjacency({u: adj[u] & nb for u in nb})
         rest = members - {parent.labels[v]}
         assert parent.graph() == graph_from_adjacency({u: adj[u] & rest for u in rest})
+
+    @given(g=random_graphs, data=st.data())
+    def test_a_root_child_gets_its_own_labels(self, g, data):
+        # The unanchored root, after removed vertices, whose bits stay
+        # behind in the masks, and a removed edge; checked against the
+        # same steps on a set root.
+        sets = Subproblem.from_graph(g)
+        members = data.draw(st.sets(st.integers(0, g.num_vertices - 1), min_size=1))
+        root = BitsetSubproblem.from_adjacency(sets.adj, members)
+        sets = Subproblem({u: sets.adj[u] & members for u in members})
+        bits = bit_positions(root.alive)
+        for dead in data.draw(st.sets(st.sampled_from(bits), max_size=len(bits) - 1)):
+            root.alive ^= 1 << dead
+            sets.remove_vertex(root.labels[dead])
+        edges = [(i, j) for i in bit_positions(root.alive) for j in bit_positions(root.masks[i] & root.alive) if i < j]
+        if edges:
+            i, j = data.draw(st.sampled_from(edges))
+            root.masks[i] &= ~(1 << j)
+            root.masks[j] &= ~(1 << i)
+            sets.adj[root.labels[i]].discard(root.labels[j])
+            sets.adj[root.labels[j]].discard(root.labels[i])
+        v = data.draw(st.sampled_from(bit_positions(root.alive)))
+        nb = sorted(sets.adj[root.labels[v]])
+        child = root.split_at(v)
+        expected = sets.split_at(root.labels[v])
+        assert child.labels == expected.labels == nb
+        assert child.anchor == expected.anchor == {root.labels[v]}
+        assert child.graph() == expected.graph()
+        assert (child.masks, child.alive) == (expected.masks, expected.alive)
+
+    def test_a_root_child_of_an_isolated_vertex_is_empty(self):
+        root = BitsetSubproblem.from_adjacency({3: set(), 5: {9}, 9: {5}}, {3, 5, 9})
+        child = root.split_at(0)
+        assert (child.labels, child.masks, child.alive, child.size) == ([], [], 0, 0)
+        assert child.anchor == {3} and child.graph() == Graph(0)
+        assert root.graph() == graph_from_adjacency({5: {9}, 9: {5}})
 
     def test_no_live_vertex_is_the_empty_graph(self):
         assert BitsetSubproblem([], [], 0).graph() == Graph(0)

@@ -1,12 +1,14 @@
 import gc
 import importlib.util
 import random
+import sys
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
+import cliquesplit
 from cliquesplit import (
     CliqueResult,
     Graph,
@@ -21,10 +23,11 @@ from cliquesplit import (
     split_solve,
     sweep_vertex_limit,
 )
+from cliquesplit import splitting
 from cliquesplit.reduction import BitsetSubproblem
-from cliquesplit.splitting import Subproblem, _choose_split_vertex, _Driver
+from cliquesplit.splitting import Subproblem, _choose_split_vertex, _Driver, _masks_root
 
-from conftest import brute_max_clique, complete_graph, star_graph, wheel5
+from conftest import brute_max_clique, complete_graph, random_graphs, star_graph, wheel5
 
 small_graphs = st.builds(
     gnp_random,
@@ -245,6 +248,70 @@ class TestSplitSolve:
             SplitConfig(vertex_limit=0)
 
 
+def load_perfbench(name: str):
+    """A module of the benchmark, which is not a package, by file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRootEngine:
+    """The peeled root is held as masks when n <= d̄², else as sets, and
+    the two hold it to the same results."""
+
+    # A root-only change to the prune centre fails this at 100 examples, not at 50.
+    @settings(max_examples=200)
+    @given(g=random_graphs, seed=st.integers(min_value=0, max_value=2**16))
+    def test_either_engine_gives_the_same_result(self, g, seed):
+        for limit in range(1, g.num_vertices + 1):
+            cfg = SplitConfig(vertex_limit=limit, seed=seed)
+            results = []
+            for masks in (False, True):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(splitting, "_masks_root", lambda n, m: masks)
+                    results.append(split_solve(g, cfg))
+            sets, bits = results
+            assert (sets.vertices, sets.size) == (bits.vertices, bits.size)
+            assert sets.stats.subproblems_solved == bits.stats.subproblems_solved
+            assert sets.stats.reductions == bits.stats.reductions
+
+    def test_the_rule_is_n_at_most_the_average_degree_squared(self):
+        assert _masks_root(16, 32)  # d̄ = 4
+        assert not _masks_root(17, 34)  # d̄ = 4
+        assert not _masks_root(1, 0)  # a lone vertex
+
+    @pytest.mark.parametrize("name, masks", [("dense-exact", True), ("sparse-large", False), ("cm-sampler", False)])
+    def test_each_side_has_a_benchmark_workload(self, name, masks):
+        # The tiny inputs the benchmark's self-check runs, through the
+        # driver's peel; the full-size ones by their (n, m), which the
+        # peel at a clique-sized bound moves far less than the margins:
+        # d̄² ~ 22000 for n = 500, 2500 for n = 20000, about 45 for n = 1000.
+        workloads = load_perfbench("workloads")
+        tiny = workloads.TINY[name]
+        verdicts = []
+
+        def spy(n, m):
+            verdicts.append(_masks_root(n, m))
+            return verdicts[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(splitting, "_masks_root", spy)
+            for base_seed in tiny.base_seeds:
+                g = workloads.generate_base(cliquesplit, tiny.family, base_seed)
+                split_solve(g, SplitConfig(vertex_limit=tiny.vertex_limit, seed=base_seed))
+        assert verdicts == [masks] * len(tiny.base_seeds)
+        family = workloads.FULL[name].family
+        if family.kind == "gnp":
+            n, m = family.n, family.p * family.n * (family.n - 1) / 2
+        else:  # each contraction drops a vertex and at least one edge
+            chimera = cliquesplit.chimera_graph(cliquesplit.ChimeraSpec(family.rows, family.cols, family.shore))
+            n, m = chimera.num_vertices - family.contractions, chimera.num_edges
+        assert _masks_root(n, m) == masks
+
+
 class TestSubsolverCalls:
     def test_split_solve_counts_each_real_call(self):
         calls = []
@@ -286,10 +353,7 @@ class TestSweepVertexLimit:
 def test_every_traced_attribute_resolves():
     # The benchmark's tracer wraps these module attributes by name; a
     # rename in the program must fail here, not only in its self-check.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load_perfbench("spans")
     assert spans.PATCHES
     for module, attr, _, _ in spans.PATCHES:
         assert callable(getattr(importlib.import_module(f"cliquesplit.{module}"), attr)), (module, attr)
