@@ -15,7 +15,6 @@ from .graphs import (
     CliqueStats,
     DimacsError,
     Graph,
-    common_neighbors,
     complement,
     gnp_random,
     hamming_graph,
@@ -33,7 +32,7 @@ from .chimera import (
     contract_random_edges,
     two_coloring,
 )
-from .reduction import ReductionOutcome, k_core, reduce_graph
+from .reduction import k_core, reduce_graph
 from .partitioning import (
     CHPartition,
     auto_ch_partition,
@@ -43,15 +42,12 @@ from .partitioning import (
     vertex_split,
 )
 from .qubo import (
-    IsingModel,
     PenaltyParams,
     Qubo,
     assignment_to_clique,
     brute_force_min,
     evaluate,
     mc_to_qubo,
-    parse_qubo,
-    qubo_to_ising,
     write_qubo,
 )
 from .solvers import (
@@ -90,10 +86,8 @@ __all__ = [
     "ContractionRecord",
     "DimacsError",
     "Graph",
-    "IsingModel",
     "PenaltyParams",
     "Qubo",
-    "ReductionOutcome",
     "RunRecord",
     "SampleSet",
     "SolverConfig",
@@ -110,7 +104,6 @@ __all__ = [
     "clique_capacity",
     "combine_ch",
     "combine_split",
-    "common_neighbors",
     "complement",
     "contract_random_edges",
     "emit_csv",
@@ -128,8 +121,6 @@ __all__ = [
     "mock_sampler",
     "parse_config",
     "parse_dimacs",
-    "parse_qubo",
-    "qubo_to_ising",
     "reduce_graph",
     "run_experiment",
     "sa_clique",

@@ -66,6 +66,8 @@ class BenchConfig:
             raise ValueError("per_call_time_model_s must be finite and non-negative")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError("seeds must be distinct")
 
 
 @dataclass(frozen=True)
@@ -202,10 +204,11 @@ def _parse_value(kind: object, value: str) -> object:
 def parse_config(text: str) -> BenchConfig:
     """Parse the flat ``key = value`` experiment file format.
 
-    Each key is a ``BenchConfig`` field, read as that field's type. A
-    ``#`` that starts a line or follows whitespace starts a comment. A
-    value the config refuses is blamed on the first key, in file order,
-    that the default config refuses with the same message.
+    Each key is a ``BenchConfig`` field, read as that field's type, and
+    may appear once. A ``#`` that starts a line or follows whitespace
+    starts a comment. A value the config refuses is blamed on the first
+    key, in file order, that the default config refuses with the same
+    message.
     """
     values: dict[str, object] = {}
     lines: dict[str, int] = {}
@@ -221,6 +224,8 @@ def parse_config(text: str) -> BenchConfig:
         try:
             if key not in _KEY_TYPES:
                 raise ValueError(f"unknown key {key!r}")
+            if key in lines:
+                raise ValueError(f"duplicate key {key!r} (first on line {lines[key]})")
             values[key] = _parse_value(_KEY_TYPES[key], value)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None

@@ -132,12 +132,11 @@ def _cmd_reduce(args) -> int:
     g = _read_graph(args.input)
     if args.k is not None:
         reduced = k_core(g, args.k)
-        removed_v = g.num_vertices - reduced.num_vertices
-        removed_e = g.num_edges - reduced.num_edges
     else:
-        outcome = reduce_graph(g, args.lower_bound, seed=args.seed)
-        reduced, removed_v, removed_e = outcome.graph, outcome.removed_vertices, outcome.removed_edges
+        reduced = reduce_graph(g, args.lower_bound, seed=args.seed)
     _write_output(write_dimacs(reduced), args.out)
+    removed_v = g.num_vertices - reduced.num_vertices
+    removed_e = g.num_edges - reduced.num_edges
     print(f"removed_vertices={removed_v} removed_edges={removed_e}", file=sys.stderr)
     return 0
 

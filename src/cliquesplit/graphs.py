@@ -376,14 +376,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     return graph_from_adjacency({v: g.neighbors(v) & keep for v in keep}, g)
 
 
-def common_neighbors(g: Graph, u: int, v: int) -> set[int]:
-    """N(u) ∩ N(v)."""
-    n = g.num_vertices
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError("vertex id out of range")
-    return g.neighbors(u) & g.neighbors(v)
-
-
 def graph_from_adjacency(adj: dict[int, set[int]], parent: Graph | None = None) -> Graph:
     """Renumber an adjacency dict into a compact Graph.
 

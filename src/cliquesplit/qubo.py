@@ -84,26 +84,6 @@ class Qubo:
         return f"Qubo(n={self.num_variables}, linear={len(self.linear)}, quadratic={len(self.quadratic)})"
 
 
-@dataclass(frozen=True)
-class IsingModel:
-    """Spin-variable form: fields h, couplings J (keys i < j), plus offset."""
-
-    num_spins: int
-    h: dict[int, float]
-    J: dict[tuple[int, int], float]
-    offset: float
-
-    def energy(self, spins: Sequence[int]) -> float:
-        if len(spins) != self.num_spins:
-            raise ValueError("spin vector length mismatch")
-        e = self.offset
-        for i, hi in self.h.items():
-            e += hi * spins[i]
-        for (i, j), jij in self.J.items():
-            e += jij * spins[i] * spins[j]
-        return e
-
-
 def evaluate(q: Qubo, x: BinaryAssignment) -> float:
     """Energy of a 0/1 assignment; exact when all coefficients are integers."""
     if len(x) != q.num_variables:
@@ -136,28 +116,6 @@ def mc_to_qubo(g: Graph, params: PenaltyParams = PenaltyParams()) -> Qubo:
             if v not in nbrs:
                 quadratic[(u, v)] = params.penalty
     return Qubo(n, linear, quadratic)
-
-
-def qubo_to_ising(q: Qubo) -> IsingModel:
-    """Change of variables x = (1 + s) / 2; energies agree including offset."""
-    h: dict[int, float] = {}
-    offset = 0.0
-    for i, a in q.linear.items():
-        h[i] = h.get(i, 0.0) + a / 2.0
-        offset += a / 2.0
-    J: dict[tuple[int, int], float] = {}
-    for (i, j), a in q.quadratic.items():
-        J[(i, j)] = a / 4.0
-        h[i] = h.get(i, 0.0) + a / 4.0
-        h[j] = h.get(j, 0.0) + a / 4.0
-        offset += a / 4.0
-    h = {i: v for i, v in h.items() if v != 0.0}
-    J = {k: v for k, v in J.items() if v != 0.0}
-    return IsingModel(q.num_variables, h, J, offset)
-
-
-def spins_from_bits(x: BinaryAssignment) -> list[int]:
-    return [1 if b else -1 for b in x]
 
 
 def assignment_to_clique(
@@ -219,65 +177,6 @@ def brute_force_min(q: Qubo) -> tuple[list[int], float]:
             best_counter = start + idx
     assignment = [(best_counter >> i) & 1 for i in range(n)]
     return assignment, best_energy
-
-
-def _finite(token: str) -> float:
-    value = float(token)
-    if not math.isfinite(value):
-        raise ValueError(f"coefficient {token!r} is not finite")
-    return value
-
-
-def parse_qubo(text: str) -> Qubo:
-    """Parse the plain-text format: ``N <int>``, ``L i coeff``, ``Q i j coeff``, each term once.
-
-    The ``N`` line may come anywhere; an index outside [0, N) is reported
-    with the line of its term once the whole text is read. A coefficient
-    that is not finite (``nan``, ``inf``) is refused with its line.
-    """
-    n: int | None = None
-    linear: dict[int, float] = {}
-    quadratic: dict[tuple[int, int], float] = {}
-    term_line: dict[int | tuple[int, int], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "N" and len(parts) == 2:
-                if n is not None:
-                    raise ValueError("duplicate N line")
-                n = int(parts[1])
-                if n < 0:
-                    raise ValueError("num_variables must be non-negative")
-            elif parts[0] == "L" and len(parts) == 3:
-                i = int(parts[1])
-                if i in linear:
-                    raise ValueError(f"duplicate linear index {i}")
-                linear[i] = _finite(parts[2])
-                term_line[i] = lineno
-            elif parts[0] == "Q" and len(parts) == 4:
-                i, j = sorted((int(parts[1]), int(parts[2])))
-                if i == j:
-                    raise ValueError(f"diagonal quadratic key ({i}, {j}); fold into linear")
-                if (i, j) in quadratic:
-                    raise ValueError(f"duplicate quadratic key ({i}, {j})")
-                quadratic[(i, j)] = _finite(parts[3])
-                term_line[(i, j)] = lineno
-            else:
-                raise ValueError(f"unrecognized line {line[:30]!r}")
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    if n is None:
-        raise ValueError("missing N line")
-    for i in linear:
-        if not 0 <= i < n:
-            raise ValueError(f"line {term_line[i]}: linear index {i} out of range")
-    for i, j in quadratic:
-        if not (0 <= i and j < n):
-            raise ValueError(f"line {term_line[i, j]}: quadratic key ({i}, {j}) out of range")
-    return Qubo(n, linear, quadratic)
 
 
 def write_qubo(q: Qubo) -> str:

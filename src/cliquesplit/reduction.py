@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -64,13 +63,6 @@ def bit_positions(mask: int) -> list[int]:
         if byte:
             positions += row[byte]
     return positions
-
-
-@dataclass(frozen=True)
-class ReductionOutcome:
-    graph: Graph
-    removed_vertices: int
-    removed_edges: int
 
 
 class Subproblem:
@@ -408,20 +400,13 @@ def k_core(g: Graph, k: int) -> Graph:
     return graph_from_adjacency(sub.adj, g)
 
 
-def reduce_graph(g: Graph, lower_bound: int, seed: int = 0) -> ReductionOutcome:
+def reduce_graph(g: Graph, lower_bound: int, seed: int = 0) -> Graph:
     """Core-then-prune-then-core reduction keyed to a clique lower bound.
 
-    Every clique of size >= lower_bound + 1 in ``g`` survives. Removed
-    counts are input minus output sizes (edges lost to vertex deletion
-    included).
+    Every clique of size >= lower_bound + 1 in ``g`` survives.
     """
     if lower_bound < 0:
         raise ValueError("lower_bound must be non-negative")
     sub = Subproblem.from_graph(g)
     sub.reduce(lower_bound, random.Random(seed))
-    out = graph_from_adjacency(sub.adj, g)
-    return ReductionOutcome(
-        graph=out,
-        removed_vertices=g.num_vertices - out.num_vertices,
-        removed_edges=g.num_edges - out.num_edges,
-    )
+    return graph_from_adjacency(sub.adj, g)

@@ -119,8 +119,8 @@ def test_04_reduction_preserves_optimum():
         g = gnp_random(n, p, rng.randrange(10**9))
         omega = exact_max_clique(g).size
         for bound in range(omega):
-            outcome = reduce_graph(g, bound, seed=rng.randrange(10**9))
-            assert exact_max_clique(outcome.graph).size == omega, f"n={n} p={p} bound={bound}"
+            out = reduce_graph(g, bound, seed=rng.randrange(10**9))
+            assert exact_max_clique(out).size == omega, f"n={n} p={p} bound={bound}"
         checked += 1
     report("4 reduction-preserves-optimum", checked == 200, f"{checked} graphs, all bounds")
 

@@ -206,6 +206,7 @@ class TestParseConfig:
             ("graph = dimacs\npath = g.txt\nvertex_limit = 0\n", "line 3: vertex_limit must be >= 1"),
             ("n = 5\nsolver = nope\n", "line 2: unknown solver 'nope'"),
             ("n = 5\n\nseeds =\n", "line 3: need at least one seed"),
+            ("n = 5\nseeds = 1, 2, 1\nvertex_limit = 3\n", "line 2: seeds must be distinct"),
         ],
     )
     def test_refused_value_names_its_line(self, text, message):
@@ -213,9 +214,16 @@ class TestParseConfig:
             parse_config(text)
         assert str(info.value).startswith(message)
 
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ValueError) as info:
+            parse_config("n = 100\nsolver = exact\nn = 200\n")
+        assert str(info.value) == "line 3: duplicate key 'n' (first on line 1)"
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BenchConfig(graph="nope")
+        with pytest.raises(ValueError, match="seeds must be distinct"):
+            BenchConfig(seeds=(3, 1, 2, 1))
         with pytest.raises(ValueError):
             BenchConfig(repetitions=0)
         with pytest.raises(ValueError):

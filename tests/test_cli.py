@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cliquesplit import parse_dimacs, parse_qubo
+from cliquesplit import parse_dimacs
 from cliquesplit.cli import build_parser, main
 
 K4_TEXT = "p edge 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n"
@@ -189,9 +189,8 @@ class TestQuboAndCapacity:
         src.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
         code, out, _ = run_cli(["qubo", "--from-graph", str(src)], capsys)
         assert code == 0
-        q = parse_qubo(out)
-        assert q.num_variables == 3
-        assert q.quadratic == {(0, 2): 2.0}
+        # No parser reads this format back, so the exact text is its specification.
+        assert out == "N 3\nL 0 -1\nL 1 -1\nL 2 -1\nQ 0 2 2\n"
 
     def test_capacity(self, capsys):
         code, out, _ = run_cli(["capacity", "--qubits", "1152"], capsys)
@@ -228,6 +227,13 @@ class TestBench:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("nonsense = 1\n")
         assert main(["bench", str(cfg)]) == 1
+
+    def test_repeated_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n = 100\nvertex_limit = 10\nn = 200\n")
+        code, out, err = run_cli(["bench", str(cfg)], capsys)
+        assert (code, out) == (1, "")
+        assert "line 3: duplicate key 'n' (first on line 1)" in err
 
     def test_dimacs_without_a_path_names_it(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

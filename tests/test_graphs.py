@@ -11,7 +11,6 @@ from cliquesplit import (
     DimacsError,
     Graph,
     apply_defects,
-    common_neighbors,
     complement,
     contract_random_edges,
     gnp_random,
@@ -24,7 +23,7 @@ from cliquesplit import (
 )
 from cliquesplit.graphs import MAX_EDGES, MAX_VERTICES
 
-from conftest import brute_max_clique, complete_graph, path_graph, random_graphs, wheel5
+from conftest import brute_max_clique, complete_graph, path_graph, random_graphs
 
 OVER_CAP = MAX_VERTICES + 1  # inputs this large are refused before anything is allocated
 
@@ -432,7 +431,7 @@ class TestLabelComposition:
         seed=st.integers(0, 99),
     )
     def test_reduce_graph(self, parent, lower_bound, seed):
-        out = reduce_graph(parent, lower_bound, seed).graph
+        out = reduce_graph(parent, lower_bound, seed)
         keep, edges = survivors_in_parent(parent, out)
         assert set(keep) <= naive_core(parent, lower_bound)
         assert out == expected_subgraph(parent, keep, edges)
@@ -510,22 +509,3 @@ def edge_list_contraction(g, m, seed):
         steps.append((u, v, u))
     edges = [(a, b) for a in adj for b in adj[a] if a < b]
     return expected_subgraph(g, adj, edges), tuple(steps)
-
-
-class TestCommonNeighbors:
-    def test_k4_pair(self):
-        g = complete_graph(4)
-        assert common_neighbors(g, 0, 1) == {2, 3}
-
-    def test_disjoint_edge(self):
-        g = Graph(4, [(0, 1), (2, 3)])
-        assert common_neighbors(g, 0, 1) == set()
-
-    def test_wheel_hub_and_rim(self):
-        g = wheel5()
-        assert common_neighbors(g, 0, 1) == {2, 4}
-
-    def test_out_of_range(self, k5):
-        with pytest.raises(ValueError):
-            common_neighbors(k5, 0, 7)
-

@@ -4,7 +4,6 @@ import random
 
 import pytest
 from hypothesis import given
-import hypothesis.strategies as st
 
 from cliquesplit import (
     CliqueResult,
@@ -16,11 +15,8 @@ from cliquesplit import (
     evaluate,
     gnp_random,
     mc_to_qubo,
-    parse_qubo,
-    qubo_to_ising,
     write_qubo,
 )
-from cliquesplit.qubo import spins_from_bits
 
 from conftest import brute_max_clique, complete_graph, path_graph, random_graphs
 
@@ -108,37 +104,6 @@ class TestEvaluate:
             assert evaluate(q, x) == float(int(evaluate(q, x)))
 
 
-class TestQuboToIsing:
-    def test_single_variable(self):
-        ising = qubo_to_ising(Qubo(1, {0: -1.0}))
-        assert ising.h == {0: -0.5}
-        assert ising.offset == -0.5
-        assert ising.J == {}
-
-    def test_zero_qubo(self):
-        ising = qubo_to_ising(Qubo(3))
-        assert ising.h == {} and ising.J == {} and ising.offset == 0.0
-
-    def test_p3_energy_equality_over_all_assignments(self):
-        q = mc_to_qubo(p3())
-        ising = qubo_to_ising(q)
-        for bits in itertools.product((0, 1), repeat=3):
-            assert ising.energy(spins_from_bits(bits)) == pytest.approx(
-                evaluate(q, list(bits)), abs=1e-12
-            )
-
-    @given(g=st.builds(gnp_random, n=st.integers(1, 10), p=st.floats(0, 1), seed=st.integers(0, 999)))
-    def test_energy_equality_random(self, g):
-        q = mc_to_qubo(g)
-        ising = qubo_to_ising(q)
-        rng = random.Random(3)
-        for _ in range(8):
-            bits = [rng.randint(0, 1) for _ in range(g.num_vertices)]
-            assert ising.energy(spins_from_bits(bits)) == pytest.approx(
-                evaluate(q, bits), rel=1e-12, abs=1e-12
-            )
-
-
 class TestAssignmentToClique:
     def test_k3_full_selection(self):
         result = assignment_to_clique(complete_graph(3), [1, 1, 1])
@@ -218,66 +183,9 @@ class TestCliqueQuboCorrespondence:
 
 
 class TestQuboText:
-    def test_round_trip(self):
-        q = mc_to_qubo(gnp_random(9, 0.5, 4))
-        assert parse_qubo(write_qubo(q)) == q
-
     def test_format_shape(self):
         text = write_qubo(mc_to_qubo(p3()))
         lines = text.strip().splitlines()
         assert lines[0] == "N 3"
         assert "L 0 -1" in lines
         assert "Q 0 2 2" in lines
-
-    def test_parse_errors(self):
-        with pytest.raises(ValueError, match="line 1"):
-            parse_qubo("L x 1\n")
-        with pytest.raises(ValueError, match="missing N"):
-            parse_qubo("")
-
-    @pytest.mark.parametrize(
-        "text, line",
-        [
-            ("N 2\nQ 0 1 2\nQ 0 1 3\n", 3),
-            ("N 2\nQ 0 1 2\nQ 1 0 3\n", 3),
-            ("N 2\nL 0 1\nQ 0 1 2\nL 0 -1\n", 4),
-            ("N 2\nL 1 0\nL 1 0\n", 3),
-        ],
-        ids=["same-pair", "swapped-pair", "linear", "zero-linear"],
-    )
-    def test_repeated_terms_rejected(self, text, line):
-        with pytest.raises(ValueError, match=f"line {line}: duplicate"):
-            parse_qubo(text)
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("N 2\nQ 0 0 1\n", "line 2: diagonal quadratic key"),
-            ("N 2\nL 5 1\n", "line 2: linear index 5 out of range"),
-            ("N 2\nL -1 1\n", "line 2: linear index -1 out of range"),
-            ("N 2\nL 0 1\nQ 0 7 1\n", r"line 3: quadratic key \(0, 7\) out of range"),
-            ("Q 0 1 1\nL 2 1\nN 2\n", "line 2: linear index 2 out of range"),
-            ("N -1\n", "line 1: num_variables must be non-negative"),
-        ],
-        ids=["diagonal", "linear-high", "linear-negative", "quadratic-high", "n-last", "negative-n"],
-    )
-    def test_index_errors_name_the_line(self, text, message):
-        with pytest.raises(ValueError, match=message):
-            parse_qubo(text)
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("N 2\nL 0 nan\nL 1 -1\nQ 0 1 inf\n", "line 2: coefficient 'nan' is not finite"),
-            ("N 2\nL 0 -1\nL 1 -1\nQ 0 1 inf\n", "line 4: coefficient 'inf' is not finite"),
-            ("N 2\nQ 1 0 -Infinity\n", "line 2: coefficient '-Infinity' is not finite"),
-        ],
-        ids=["nan-linear", "inf-quadratic", "negative-infinity"],
-    )
-    def test_non_finite_coefficients_name_the_line(self, text, message):
-        with pytest.raises(ValueError, match=message):
-            parse_qubo(text)
-
-    def test_n_line_may_come_last(self):
-        q = parse_qubo("c terms first\nL 0 -1\nQ 1 0 2\nL 1 -1\nN 2\n")
-        assert q == Qubo(2, {0: -1.0, 1: -1.0}, {(0, 1): 2.0})
