@@ -12,9 +12,9 @@ Backends:
   minimum, restarted from random assignments; all restarts descend
   together in one batch.
 - ``sampler``: a pluggable annealer stand-in. ``mock_sampler`` sets the
-  QUBO up once per call and anneals all reads in lockstep, each read
-  from its own seed; the samples are then polished in one batched descent
-  before the best is kept.
+  QUBO up once per call, draws every read's randomness from one
+  generator and anneals all reads in lockstep; the samples are then
+  polished in one batched descent before the best is kept.
 
 Every annealer accepts a move when its energy change is below
 ``max(T_t, 1e-12) * -ln(u_t)``, for its uniform draw ``u_t`` and geometric
@@ -66,12 +66,14 @@ class SubproblemSolveError(SolverError):
 class SolverConfig:
     """Shared knobs for the backends; each backend reads only some of them.
 
-    ``budget`` counts moves (``sa-clique``, ``sa-qubo``) or branch nodes
-    (``exact``); None means the backend default. ``alpha`` is the
-    geometric cooling factor T_{n+1} = alpha * T_n of ``sa-clique`` and
-    ``sa-qubo``, starting from a temperature calibrated so that roughly
-    half of the uphill probe moves would be accepted. ``num_reads`` is the
-    sample count for ``sampler`` and the restart count for ``descent``.
+    ``seed`` seeds every stochastic backend and must be non-negative, as
+    numpy's generators require. ``budget`` counts moves (``sa-clique``,
+    ``sa-qubo``) or branch nodes (``exact``); None means the backend
+    default. ``alpha`` is the geometric cooling factor T_{n+1} = alpha *
+    T_n of ``sa-clique`` and ``sa-qubo``, starting from a temperature
+    calibrated so that roughly half of the uphill probe moves would be
+    accepted. ``num_reads`` is the sample count for ``sampler`` and the
+    restart count for ``descent``.
 
     ``BACKENDS`` lists the fields each backend reads; ``backend`` refuses
     a non-default field that the chosen backend does not read.
@@ -89,6 +91,8 @@ class SolverConfig:
             raise ValueError("budget must be positive")
         if self.num_reads < 1:
             raise ValueError("num_reads must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -343,33 +347,33 @@ def _gains(q: Qubo, x: Sequence[int]) -> list[float]:
     return gains
 
 
-def _anneal_draws(seed: int, n: int, budget: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Everything one annealing read draws from ``default_rng(seed)``, in
-    order: the start bits, the temperature probes, then the flip indices
-    and uniforms of each 4096-move batch (concatenated)."""
+def _anneal_draws(
+    seed: int, n: int, budget: int, reads: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Everything ``reads`` annealing reads draw from one
+    ``default_rng(seed)``, one row per read, in order: the start bits, the
+    temperature probes, then the flip indices and uniforms of each
+    4096-move batch (joined along each row). One read draws the
+    stream of one ``sa_qubo`` run."""
     rng = np.random.default_rng(seed)
-    start = rng.integers(0, 2, size=n)
-    probes = rng.integers(0, n, size=min(100, budget))
+    start = rng.integers(0, 2, size=(reads, n))
+    probes = rng.integers(0, n, size=(reads, min(100, budget)))
     flips, uniforms = [], []
     for step in range(0, budget, 4096):
         k = min(4096, budget - step)
-        flips.append(rng.integers(0, n, size=k))
-        uniforms.append(rng.random(k))
-    return start, probes, np.concatenate(flips), np.concatenate(uniforms)
+        flips.append(rng.integers(0, n, size=(reads, k)))
+        uniforms.append(rng.random((reads, k)))
+    return start, probes, np.concatenate(flips, axis=1), np.concatenate(uniforms, axis=1)
 
 
-def sa_qubo(q: Qubo, cfg: SolverConfig = SolverConfig()) -> tuple[list[int], float]:
-    """Single-bit-flip Metropolis annealing from a uniform random start,
-    each move decided by the rule of ``_metropolis_cuts``.
-
-    Returns the best assignment seen and its energy (consistent with
-    ``evaluate``).
-    """
-    n = q.num_variables
-    if n == 0:
-        return [], 0.0
-    budget = cfg.budget if cfg.budget is not None else SA_QUBO_DEFAULT_BUDGET
-    start, probe_idx, flip_idx, uniforms = _anneal_draws(cfg.seed, n, budget)
+def _anneal(
+    q: Qubo, start: np.ndarray, probes: np.ndarray, flips: np.ndarray, uniforms: np.ndarray, alpha: float
+) -> tuple[list[int], float]:
+    """One read's single-bit-flip Metropolis moves over its rows of
+    ``_anneal_draws``: from ``start``, at the temperature calibrated on the
+    ``probes`` flips, move t flips ``flips[t]`` when the rule of
+    ``_metropolis_cuts`` accepts it for ``uniforms[t]``. Returns the best
+    assignment seen and its energy (consistent with ``evaluate``)."""
     x = [int(b) for b in start]
     nbrs = _flip_neighbors(q)
     gains = _gains(q, x)
@@ -377,9 +381,9 @@ def sa_qubo(q: Qubo, cfg: SolverConfig = SolverConfig()) -> tuple[list[int], flo
     best_energy = energy
     best_x = list(x)
 
-    probes = [gains[i] if x[i] == 0 else -gains[i] for i in probe_idx]
-    cuts, _ = _metropolis_cuts(_calibrate_temperature(probes), cfg.alpha, uniforms)
-    for i, cut in zip(flip_idx.tolist(), cuts.tolist()):
+    deltas = [gains[i] if x[i] == 0 else -gains[i] for i in probes]
+    cuts, _ = _metropolis_cuts(_calibrate_temperature(deltas), alpha, uniforms)
+    for i, cut in zip(flips.tolist(), cuts.tolist()):
         delta = gains[i] if x[i] == 0 else -gains[i]
         if delta < cut:
             sign = 1 if x[i] == 0 else -1
@@ -391,6 +395,21 @@ def sa_qubo(q: Qubo, cfg: SolverConfig = SolverConfig()) -> tuple[list[int], flo
                 best_energy = energy
                 best_x = list(x)
     return best_x, best_energy
+
+
+def sa_qubo(q: Qubo, cfg: SolverConfig = SolverConfig()) -> tuple[list[int], float]:
+    """Single-bit-flip Metropolis annealing from a uniform random start,
+    each move decided by the rule of ``_metropolis_cuts``: ``_anneal`` over
+    one read of ``_anneal_draws(cfg.seed, ...)``.
+
+    Returns the best assignment seen and its energy (consistent with
+    ``evaluate``).
+    """
+    n = q.num_variables
+    if n == 0:
+        return [], 0.0
+    budget = cfg.budget if cfg.budget is not None else SA_QUBO_DEFAULT_BUDGET
+    return _anneal(q, *(rows[0] for rows in _anneal_draws(cfg.seed, n, budget, 1)), cfg.alpha)
 
 
 def _dense_qubo(q: Qubo) -> tuple[np.ndarray, np.ndarray]:
@@ -464,24 +483,23 @@ def mock_sampler(q: Qubo, num_reads: int, seed: int) -> SampleSet:
     """Annealer stand-in: ``num_reads`` short Metropolis reads, annealed in
     lockstep.
 
-    Read ``r`` draws from its own ``default_rng(seed * 1_000_003 + r)``
-    exactly what ``sa_qubo`` draws at budget ``MOCK_SAMPLER_BUDGET``, and
-    keeps its own calibrated temperature, cooled by ``MOCK_SAMPLER_ALPHA``
-    per move. Every move is decided by the rule of ``_metropolis_cuts``
-    that ``sa_qubo`` uses, so when the coefficients are integers, as in the
-    clique QUBO, each sample and its energy are exactly that ``sa_qubo``
-    run's best assignment and energy. The QUBO is set up once per call,
-    and each move of all reads is one step on a reads x n state. The
-    energy trajectories, and from them each read's best state, are
-    computed once the moves are done.
+    One ``default_rng(seed)`` draws every read's randomness at once
+    (``_anneal_draws`` at budget ``MOCK_SAMPLER_BUDGET``), and read ``r``
+    takes row ``r`` of each draw. Each read keeps its own calibrated
+    temperature, cooled by ``MOCK_SAMPLER_ALPHA`` per move, and every move
+    is decided by the rule of ``_metropolis_cuts``, so when the
+    coefficients are integers, as in the clique QUBO, sample ``r`` and its
+    energy are exactly those of ``_anneal`` over row ``r`` of the draws.
+    The QUBO is set up once per call, and each move of all reads is one
+    step on a reads x n state. The energy trajectories, and from them each
+    read's best state, are computed once the moves are done.
     """
     reads = max(num_reads, 0)
     n = q.num_variables
     if reads == 0 or n == 0:
         return SampleSet((((), 0.0),) * reads)
     budget = MOCK_SAMPLER_BUDGET
-    draws = [_anneal_draws(seed * 1_000_003 + r, n, budget) for r in range(reads)]
-    starts, probes, flips, uniforms = (np.array(part) for part in zip(*draws))
+    starts, probes, flips, uniforms = _anneal_draws(seed, n, budget, reads)
     linear, coupling = _dense_qubo(q)
     gains = linear + starts @ coupling
     signs = 1.0 - 2.0 * starts  # a flip's energy change is gain * sign
@@ -517,7 +535,8 @@ def sampler_solve(
     """Request ``num_reads`` samples and polish them all in one batched
     descent, mirroring the anneal-then-postprocess pipeline; returns the
     first sample with the lowest polished energy. With ``mock_sampler``
-    the reads anneal in lockstep, each from its own per-read seed."""
+    the reads anneal in lockstep, all drawn from one generator seeded with
+    ``cfg.seed``."""
     samples = sampler(q, cfg.num_reads, cfg.seed)
     if len(samples) == 0:
         raise SolverError("sampler returned no samples")

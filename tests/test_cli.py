@@ -145,6 +145,13 @@ class TestSolve:
         assert out == ""
         assert "num_reads must be >= 1" in err
 
+    @pytest.mark.parametrize("solver", ["exact", "sa-clique", "sa-qubo", "descent", "sampler"])
+    def test_negative_seed_refused(self, tmp_path, capsys, solver):
+        src = tmp_path / "in.clq"
+        src.write_text(K4_TEXT)
+        code, out, err = run_cli(["solve", str(src), "--solver", solver, "--seed", "-1"], capsys)
+        assert (code, out, err) == (1, "", "error: seed must be non-negative\n")
+
     @pytest.mark.parametrize("solver", ["sa-qubo", "descent", "sampler"])
     def test_empty_graph_energy_zero(self, tmp_path, capsys, solver):
         src = tmp_path / "empty.clq"

@@ -24,6 +24,13 @@ threshold rose from ``lower_bound - 2`` to ``lower_bound - 1`` common
 neighbors. That prune drops more edges, so the split path, the subsolver
 calls, the reduction count and, among cliques of equal size, the returned
 vertices may change; no clique size may.
+
+The sampler halves of the polish figures were re-recorded when
+``mock_sampler`` stopped seeding one generator per read and began drawing
+every read of a call from one ``default_rng(seed)``. The reads see other
+random numbers, so the samples, and among equal energies the polished
+answer, may change; no energy got worse, and the ``sa_qubo`` figures,
+which pin the one-read stream, did not change.
 """
 
 import random
@@ -117,11 +124,11 @@ GRAPHS = {
 # mock_sampler, and (size, vertices) of the descent backend, both at 25 reads.
 POLISH_PINS = {
     ("gnp-30-0.5-1", 3): (([1, 4, 6, 10, 13, 14, 23], -7.0), (7, [1, 4, 6, 10, 13, 14, 21])),
-    ("gnp-30-0.5-1", 11): (([1, 4, 6, 13, 14, 23, 28], -7.0), (7, [1, 4, 6, 10, 13, 14, 21])),
-    ("gnp-40-0.3-2", 3): (([6, 18, 26, 35], -4.0), (5, [0, 17, 26, 30, 35])),
+    ("gnp-30-0.5-1", 11): (([1, 4, 6, 10, 13, 14, 21], -7.0), (7, [1, 4, 6, 10, 13, 14, 21])),
+    ("gnp-40-0.3-2", 3): (([0, 17, 26, 30, 35], -5.0), (5, [0, 17, 26, 30, 35])),
     ("gnp-40-0.3-2", 11): (([0, 17, 26, 30, 35], -5.0), (5, [0, 17, 26, 30, 35])),
-    ("cm-2-2-4-6-5", 3): (([21, 22, 24, 25], -4.0), (4, [21, 25, 26, 27])),
-    ("cm-2-2-4-6-5", 11): (([19, 22, 23, 24], -4.0), (4, [24, 25, 27, 30])),
+    ("cm-2-2-4-6-5", 3): (([19, 22, 23, 24], -4.0), (4, [21, 25, 26, 27])),
+    ("cm-2-2-4-6-5", 11): (([21, 22, 24, 25], -4.0), (4, [24, 25, 27, 30])),
 }
 
 

@@ -32,7 +32,7 @@ from cliquesplit import (
     solve_mc,
 )
 from cliquesplit.qubo import Qubo
-from cliquesplit.solvers import MOCK_SAMPLER_BUDGET
+from cliquesplit.solvers import MOCK_SAMPLER_ALPHA, MOCK_SAMPLER_BUDGET
 
 from conftest import brute_max_clique, complete_graph, path_graph, random_graphs
 
@@ -49,6 +49,15 @@ class TestSolverConfig:
     def test_num_reads_must_be_positive(self, reads):
         with pytest.raises(ValueError, match="num_reads"):
             SolverConfig(num_reads=reads)
+
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SolverConfig(seed=-1)
+        assert SolverConfig(seed=0).seed == 0
+
+    def test_solve_mc_refuses_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            solve_mc(complete_graph(3), "sampler", SolverConfig(seed=-1))
 
 
 class TestExactMaxClique:
@@ -304,13 +313,23 @@ class TestSampler:
         reads=st.integers(0, 6),
         seed=st.integers(0, 2**40),
     )
-    def test_mock_sampler_equals_per_read_sa_qubo(self, n, p, graph_seed, reads, seed):
+    def test_mock_sampler_reads_are_anneal_over_one_draw(self, n, p, graph_seed, reads, seed):
         q = mc_to_qubo(gnp_random(n, p, graph_seed))
-        per_read = [
-            sa_qubo(q, SolverConfig(seed=seed * 1_000_003 + i, budget=MOCK_SAMPLER_BUDGET, alpha=0.98))[0]
-            for i in range(reads)
-        ]
+        draws = solvers._anneal_draws(seed, n, MOCK_SAMPLER_BUDGET, reads)
+        per_read = [solvers._anneal(q, *(rows[r] for rows in draws), MOCK_SAMPLER_ALPHA)[0] for r in range(reads)]
         assert mock_sampler(q, reads, seed) == SampleSet.from_assignments(q, per_read)
+
+    def test_mock_sampler_builds_one_generator_per_call(self, monkeypatch):
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def counted(seed):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        samples = mock_sampler(mc_to_qubo(gnp_random(12, 0.5, 1)), 50, 7)
+        assert (len(samples), seeds) == (50, [7])
 
     @pytest.mark.parametrize(
         "bad", [[(0, 1)], [(0, 1, 2)], [(1, 0, 0, 1)], [(0, 1, 0), (0, 1)], [(0, 1, 0), (1, 2, 1)]]
