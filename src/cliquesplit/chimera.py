@@ -133,6 +133,8 @@ def contract_random_edges(g: Graph, m: int, seed: int) -> tuple[Graph, Contracti
     """
     if m < 0:
         raise ValueError("number of contractions must be non-negative")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     n = g.num_vertices
     if m >= n:
         raise ValueError(f"cannot contract {m} edges in a {n}-vertex graph")

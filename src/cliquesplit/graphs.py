@@ -11,8 +11,16 @@ vertices given as adjacency sets into a compact graph. Every such
 subgraph (induced subgraphs, cores, reduced graphs, defective and
 contracted Chimera graphs, the split driver's set-based subproblems) goes
 through it; given the ``parent`` graph, it composes the parent's labels
-so each level maps back to the input. The split driver's bitset
-subproblems renumber their masks themselves (``reduction``).
+so each level maps back to the input.
+
+A ``Graph`` has two views of its edges: the neighbour sets and the
+boolean adjacency matrix. A graph is built from one of them. The split
+driver's bitset subproblems hand their subsolver the k × k matrix they
+unpack from their masks (``Graph._from_matrix``, from ``reduction``), and
+its neighbour sets are built from that matrix, in one place
+(``_MatrixGraph.__getattr__``), only when something reads them: the exact
+backend reads the matrix alone. ``adjacency_matrix()`` builds the matrix
+of a set-built graph on each call.
 
 The builders that compute neighbour ids per edge (``parse_dimacs``,
 ``gnp_random``, ``complement`` and ``graph_from_adjacency``) store one
@@ -32,7 +40,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator
+
+import numpy as np
 
 # The most vertices a parsed or generated graph may have. One adjacency
 # set per vertex is allocated up front, so larger counts are refused
@@ -48,9 +59,13 @@ class DimacsError(ValueError):
 
 
 class Graph:
-    """Adjacency-set graph, symmetric and self-loop free by construction."""
+    """Adjacency-set graph, symmetric and self-loop free by construction.
 
-    __slots__ = ("_adj", "_labels", "_num_edges")
+    A graph built by ``_from_matrix`` holds its boolean adjacency matrix
+    and builds its neighbour sets on first use (``_MatrixGraph``).
+    """
+
+    __slots__ = ("_adj", "_matrix", "_n", "_labels", "_num_edges")
 
     def __init__(
         self,
@@ -69,6 +84,8 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self._adj = adj
+        self._matrix: np.ndarray | None = None
+        self._n = num_vertices
         self._labels = self._canonical_labels(labels, num_vertices)
         self._num_edges: int | None = None
 
@@ -90,13 +107,27 @@ class Graph:
         """Trusted constructor: adopts ``adj`` without copying or checking."""
         g = cls.__new__(cls)
         g._adj = adj
+        g._matrix = None
+        g._n = len(adj)
         g._labels = cls._canonical_labels(labels, len(adj))
+        g._num_edges = None
+        return g
+
+    @staticmethod
+    def _from_matrix(matrix: np.ndarray, labels: Iterable[int] | None = None) -> "Graph":
+        """Trusted constructor: adopts ``matrix``, a symmetric boolean
+        matrix with a zero diagonal, without copying or checking it. The
+        neighbour sets are built on first use."""
+        g = _MatrixGraph.__new__(_MatrixGraph)
+        g._matrix = matrix
+        g._n = len(matrix)
+        g._labels = Graph._canonical_labels(labels, len(matrix))
         g._num_edges = None
         return g
 
     @property
     def num_vertices(self) -> int:
-        return len(self._adj)
+        return self._n
 
     @property
     def num_edges(self) -> int:
@@ -113,7 +144,7 @@ class Graph:
         return self._labels[v] if self._labels is not None else v
 
     def vertices(self) -> range:
-        return range(len(self._adj))
+        return range(self._n)
 
     def neighbors(self, v: int) -> set[int]:
         """Neighbor set of ``v``. Treat as read-only."""
@@ -127,6 +158,18 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]
+
+    def adjacency_matrix(self) -> np.ndarray:
+        """The n × n boolean adjacency matrix. Treat as read-only: a
+        matrix-built graph returns the one it holds; a set-built graph
+        builds a new one on each call."""
+        if self._matrix is not None:
+            return self._matrix
+        adj = self._adj
+        rows = np.repeat(np.arange(self._n), [len(s) for s in adj])
+        mat = np.zeros((self._n, self._n), dtype=bool)
+        mat[rows, np.fromiter(chain.from_iterable(adj), np.intp, len(rows))] = True
+        return mat
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, ascending."""
@@ -159,6 +202,27 @@ class Graph:
         return f"Graph(n={self.num_vertices}, m={self.num_edges})"
 
 
+class _MatrixGraph(Graph):
+    """A ``Graph`` built by ``Graph._from_matrix``. Its ``_adj`` slot
+    starts unset, and Python calls ``__getattr__`` only for an unset slot,
+    so the first read of the neighbour sets builds them here, once; the
+    matrix, ``num_vertices`` and the labels never build them. This lives
+    off ``Graph`` itself because a class with ``__getattr__`` loses
+    CPython's specialized attribute and method loads, which every
+    set-built graph would then pay on each access."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        if name != "_adj":
+            raise AttributeError(name)
+        rows, cols = self._matrix.nonzero()
+        cuts = np.searchsorted(rows, np.arange(self._n + 1)).tolist()
+        cols = cols.tolist()
+        self._adj = adj = [set(cols[a:b]) for a, b in zip(cuts, cuts[1:])]
+        return adj
+
+
 @dataclass(frozen=True)
 class CliqueStats:
     subproblems_solved: int = 0
@@ -185,8 +249,11 @@ class CliqueResult:
 
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
-    """True iff the (internal-id) vertices are pairwise adjacent in ``g``."""
+    """True iff the (internal-id) vertices are pairwise adjacent in ``g``;
+    checked on the matrix of a matrix-built graph, so no sets are built."""
     vs = list(vertices)
+    if g._matrix is not None:
+        return int(np.count_nonzero(g._matrix[vs][:, vs])) == len(vs) * (len(vs) - 1)
     for i, u in enumerate(vs):
         nbrs = g.neighbors(u)
         for v in vs[i + 1 :]:
@@ -308,6 +375,8 @@ def gnp_random(n: int, p: float, seed: int) -> Graph:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0, 1]")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} above the limit {MAX_VERTICES}")
     expected_edges = p * n * (n - 1) / 2

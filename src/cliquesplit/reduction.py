@@ -23,10 +23,11 @@ answer no degree query of their own: the split driver's vertex choice
 reads the index. Both engines prune through
 ``prune_low_overlap_edges(centre, lower_bound)``, around one centre.
 The bitset format lives here alone: ``bit_positions`` lists a mask's
-bits, and ``BitsetSubproblem.graph`` renumbers a bitset item into the
-compact ``Graph`` its subsolver reads, with one numpy unpack of the live
-rows per item rather than one bit listing per row; a child cut from a
-bitset root is compacted onto its own labels from the same unpack.
+bits, and ``BitsetSubproblem.graph`` hands the subsolver a bitset item
+as a compact ``Graph`` over the k × k bit matrix of one numpy unpack of
+the live rows (``Graph._from_matrix``), so no neighbour set is built
+unless a backend reads one; a child cut from a bitset root is compacted
+onto its own labels from the same unpack.
 
 Both engines keep each subgraph a ``core_bound``-core: ``reduce`` ends on
 a peel at its bound, and ``split_at`` re-peels the split vertex's
@@ -289,16 +290,12 @@ class BitsetSubproblem:
         of ``alive`` are renumbered 0..k-1 in ascending order, so the
         Graph's vertex order is input id order.
 
-        The renumbering is one numpy unpack per item (``_unpack``): each
-        row's nonzero columns are that vertex's neighbors.
+        The Graph holds ``_unpack``'s k × k bit matrix of the live rows,
+        one numpy unpack per item; its neighbour sets are built only if
+        the subsolver reads them.
         """
         ids = bit_positions(self.alive)
-        k = len(ids)
-        rows, cols = self._unpack(ids).nonzero()
-        cuts = np.searchsorted(rows, np.arange(k + 1)).tolist()
-        cols = cols.tolist()
-        adj = [set(cols[a:b]) for a, b in zip(cuts, cuts[1:])]
-        return Graph._from_adj(adj, map(self.labels.__getitem__, ids))
+        return Graph._from_matrix(self._unpack(ids).view(bool), map(self.labels.__getitem__, ids))
 
     def _unpack(self, ids: list[int]) -> np.ndarray:
         """The bits of the rows ``ids`` in the columns ``ids``, as a k × k
@@ -407,6 +404,8 @@ def reduce_graph(g: Graph, lower_bound: int, seed: int = 0) -> Graph:
     """
     if lower_bound < 0:
         raise ValueError("lower_bound must be non-negative")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     sub = Subproblem.from_graph(g)
     sub.reduce(lower_bound, random.Random(seed))
     return graph_from_adjacency(sub.adj, g)

@@ -156,19 +156,21 @@ def exact_max_clique(g: Graph, budget: int | None = None) -> CliqueResult:
     """Exact maximum clique by branch-and-bound over vertex bitsets.
 
     Vertices are relabelled in descending-degree order so the greedy
-    coloring packs tight bounds; a greedy clique seeds the incumbent.
+    coloring packs tight bounds; a greedy clique seeds the incumbent. The
+    masks are packed from ``g.adjacency_matrix()``, one row per vertex,
+    so a matrix-built graph never builds its neighbour sets here.
     ``budget`` caps the number of branch nodes; exceeding it raises
     BudgetExceededError carrying the best clique found so far.
     """
     n = g.num_vertices
     if n == 0:
         return CliqueResult(frozenset(), 0, "exact")
-    order = sorted(range(n), key=g.degrees().__getitem__, reverse=True)  # stable: ties keep ascending ids
-    position = [0] * n
-    for i, v in enumerate(order):
-        position[v] = i
-    bit = [1 << i for i in position]
-    adj = [sum(map(bit.__getitem__, g.neighbors(v))) for v in order]
+    mat = g.adjacency_matrix()
+    order = np.argsort(-mat.sum(axis=1), kind="stable")  # stable: ties keep ascending ids
+    rows = np.packbits(mat[order][:, order], axis=1, bitorder="little")
+    width, data = rows.shape[1], rows.tobytes()
+    adj = [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    order = order.tolist()
 
     best, cand = [], (1 << n) - 1  # greedy_clique's pass: ``order`` is its visiting order
     for i in range(n):
@@ -227,23 +229,15 @@ class _BranchAndBound:
         return best_size
 
 
-def _adjacency_matrix(g: Graph) -> np.ndarray:
-    n = g.num_vertices
-    mat = np.zeros((n, n), dtype=bool)
-    for v in range(n):
-        nbrs = sorted(g.neighbors(v))
-        if nbrs:
-            mat[v, nbrs] = True
-    return mat
-
-
-def _calibrate_temperature(deltas: Sequence[float]) -> float:
-    """Pick T so uphill probe moves are accepted about half the time."""
+def _calibrate_temperature(deltas: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
+    """One T per row of probe energy changes, picked so uphill probe moves
+    are accepted about half the time: the mean uphill change over ln 2, or
+    1.0 for a row with none uphill."""
     probes = np.asarray(deltas, dtype=float)
-    uphill = probes[probes > 0]
-    if uphill.size == 0:
-        return 1.0
-    return float(uphill.mean()) / math.log(2.0)
+    uphill = probes > 0
+    counts = uphill.sum(axis=-1)
+    sums = np.where(uphill, probes, 0.0).sum(axis=-1)
+    return np.where(counts > 0, sums / np.maximum(counts, 1) / math.log(2.0), 1.0)
 
 
 def _metropolis_cuts(
@@ -276,7 +270,7 @@ def sa_clique(g: Graph, m: int, cfg: SolverConfig = SolverConfig()) -> set[int] 
     if not 1 <= m <= n:
         raise ValueError(f"target size {m} outside [1, {n}]")
     rng = np.random.default_rng(cfg.seed)
-    nonadj = ~_adjacency_matrix(g)
+    nonadj = ~g.adjacency_matrix()
     np.fill_diagonal(nonadj, False)
     nonadj_counts = nonadj.astype(np.int64)
 
@@ -304,7 +298,7 @@ def sa_clique(g: Graph, m: int, cfg: SolverConfig = SolverConfig()) -> set[int] 
         u = members[rng.integers(len(members))]
         w = outside[rng.integers(len(outside))]
         probes.append(float(cnt[w] - cnt[u] - int(nonadj[u, w])))
-    temperature = _calibrate_temperature(probes)
+    temperature = float(_calibrate_temperature([probes])[0])
 
     for step in range(0, budget, 4096):
         k = min(4096, budget - step)
@@ -382,7 +376,7 @@ def _anneal(
     best_x = list(x)
 
     deltas = [gains[i] if x[i] == 0 else -gains[i] for i in probes]
-    cuts, _ = _metropolis_cuts(_calibrate_temperature(deltas), alpha, uniforms)
+    cuts, _ = _metropolis_cuts(float(_calibrate_temperature([deltas])[0]), alpha, uniforms)
     for i, cut in zip(flips.tolist(), cuts.tolist()):
         delta = gains[i] if x[i] == 0 else -gains[i]
         if delta < cut:
@@ -504,8 +498,8 @@ def mock_sampler(q: Qubo, num_reads: int, seed: int) -> SampleSet:
     gains = linear + starts @ coupling
     signs = 1.0 - 2.0 * starts  # a flip's energy change is gain * sign
     energy = _energies(linear, starts, gains)
-    first = [_calibrate_temperature(c[p]) for c, p in zip(gains * signs, probes)]
-    cuts = _metropolis_cuts(np.array(first), MOCK_SAMPLER_ALPHA, uniforms)[0].T
+    first = _calibrate_temperature(np.take_along_axis(gains * signs, probes, axis=1))
+    cuts = _metropolis_cuts(first, MOCK_SAMPLER_ALPHA, uniforms)[0].T
 
     cells = flips.T + np.arange(reads) * n  # move t of read r flips cell r*n + i
     flat_gains, flat_signs = gains.reshape(-1), signs.reshape(-1)

@@ -59,7 +59,10 @@ from .solvers import SolverError, SubproblemSolveError
 
 @dataclass(frozen=True)
 class SplitConfig:
-    """Decomposition settings."""
+    """Decomposition settings. ``seed`` must be non-negative:
+    ``random.Random`` seeds from an int's absolute value, so -s would
+    silently run seed s; the seeded generators and reductions refuse it
+    for the same reason."""
 
     vertex_limit: int
     seed: int = 0
@@ -68,6 +71,8 @@ class SplitConfig:
     def __post_init__(self):
         if self.vertex_limit < 1:
             raise ValueError("vertex_limit must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 Item = Subproblem | BitsetSubproblem

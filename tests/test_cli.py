@@ -250,6 +250,25 @@ class TestBench:
         assert "path" in err and "No such file" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "gnp", "--n", "30", "--p", "0.5"],
+        ["gen", "cm", "--contractions", "3", "--rows", "1", "--cols", "1"],
+        ["reduce", "IN", "--lower-bound", "2"],
+        ["split", "IN", "--vertex-limit", "2"],
+    ],
+)
+def test_a_negative_seed_is_refused(argv, tmp_path, capsys):
+    # random.Random seeds from an int's absolute value, so -1 would run seed 1.
+    src = tmp_path / "in.clq"
+    src.write_text(K4_TEXT)
+    argv = [str(src) if arg == "IN" else arg for arg in argv]
+    code, out, err = run_cli([*argv, "--seed", "-1"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: seed must be non-negative, got -1\n"
+
+
 def test_readme_commands_parse():
     # Every command of README's CLI block, comment removed, is one the parser
     # accepts; parsing runs nothing.

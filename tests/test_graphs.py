@@ -13,6 +13,8 @@ from cliquesplit import (
     apply_defects,
     complement,
     contract_random_edges,
+    exact_max_clique,
+    get_subsolver,
     gnp_random,
     hamming_graph,
     induced_subgraph,
@@ -21,7 +23,8 @@ from cliquesplit import (
     reduce_graph,
     write_dimacs,
 )
-from cliquesplit.graphs import MAX_EDGES, MAX_VERTICES
+from cliquesplit.graphs import MAX_EDGES, MAX_VERTICES, clique_result, graph_from_adjacency
+from cliquesplit.reduction import BitsetSubproblem
 
 from conftest import brute_max_clique, complete_graph, path_graph, random_graphs
 
@@ -223,6 +226,93 @@ class TestGraphInvariants:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             Graph(2, [], labels=[7, 7])
+
+
+def sets_built(g: Graph) -> bool:
+    """Whether ``g`` holds its neighbour sets, read from the slot itself
+    so that asking does not build them."""
+    try:
+        Graph.__dict__["_adj"].__get__(g, Graph)
+    except AttributeError:
+        return False
+    return True
+
+
+small_graphs = st.builds(
+    gnp_random,
+    n=st.integers(min_value=0, max_value=12),
+    p=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+
+
+@st.composite
+def matrix_and_set_graphs(draw):
+    """One graph built twice, from its matrix and from its sets: either a
+    relabelled random graph, or a random live subset of a bitset item
+    whose masks keep the bits of dead vertices."""
+    g = draw(small_graphs)
+    n = g.num_vertices
+    labels = sorted(draw(st.sets(st.integers(0, 999), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        sets = Graph._from_adj([set(g.neighbors(v)) for v in range(n)], labels)
+        return Graph._from_matrix(g.adjacency_matrix(), labels), sets
+    masks = [sum(1 << u for u in g.neighbors(v)) for v in range(n)]
+    live = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    adj = {labels[v]: {labels[u] for u in g.neighbors(v) & live} for v in live}
+    return BitsetSubproblem(labels, masks, sum(1 << v for v in live)).graph(), graph_from_adjacency(adj)
+
+
+class TestMatrixView:
+    """A matrix-built Graph reads as the set-built Graph of the same edges,
+    and the exact backend and the clique check take the same decisions on
+    both."""
+
+    @settings(max_examples=100)
+    @given(pair=matrix_and_set_graphs())
+    def test_equals_the_set_built_graph(self, pair):
+        mat, sets = pair
+        assert mat.labels == sets.labels and mat.num_vertices == sets.num_vertices
+        assert not sets_built(mat)
+        assert mat.adjacency_matrix().tolist() == sets.adjacency_matrix().tolist()
+        assert mat == sets
+        assert mat.degrees() == sets.degrees()
+        assert list(mat.edges()) == list(sets.edges())
+        assert mat.num_edges == sets.num_edges
+        mat.validate()
+
+    @settings(max_examples=100)
+    @given(pair=matrix_and_set_graphs())
+    def test_exact_returns_the_same_vertices(self, pair):
+        mat, sets = pair
+        assert exact_max_clique(mat) == exact_max_clique(sets)
+
+    @settings(max_examples=100)
+    @given(pair=matrix_and_set_graphs(), data=st.data())
+    def test_clique_result_takes_the_same_decisions(self, pair, data):
+        mat, sets = pair
+        n = mat.num_vertices
+        for _ in range(5):
+            vs = data.draw(st.sets(st.integers(0, n - 1), max_size=n) if n else st.just(set()))
+            outcomes = []
+            for g in (mat, sets):
+                try:
+                    outcomes.append(clique_result(g, vs, "check"))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1]
+
+    def test_the_exact_backend_leaves_the_sets_unbuilt(self):
+        # The hand-off's performance property: exact reads the matrix alone,
+        # its answer verified included.
+        g = gnp_random(30, 0.5, 3)
+        item = BitsetSubproblem.from_adjacency({v: g.neighbors(v) for v in g.vertices()}, set(g.vertices()))
+        sub = item.graph()
+        result = get_subsolver("exact")(sub, 0)
+        assert result.size == exact_max_clique(g).size
+        assert not sets_built(sub)
+        sub.neighbors(0)  # any set reader builds them, once
+        assert sets_built(sub) and sub.degrees() == g.degrees()
 
 
 class TestComplement:

@@ -184,6 +184,20 @@ class TestMetropolisCuts:
             assert (delta < cut) == accepts
 
 
+class TestCalibrateTemperature:
+    @given(data=st.data(), width=st.integers(0, 100), reads=st.integers(1, 8))
+    def test_each_row_is_calibrated_alone(self, data, width, reads):
+        # Integer probe deltas, as the clique QUBO's and sa_clique's are:
+        # their sums are exact in any order.
+        rows = data.draw(st.lists(st.lists(st.integers(-60, 60), min_size=width, max_size=width),
+                                  min_size=reads, max_size=reads))
+        temperatures = solvers._calibrate_temperature(np.array(rows, dtype=float).reshape(reads, width))
+        for row, temperature in zip(rows, temperatures.tolist()):
+            uphill = [d for d in row if d > 0]
+            assert temperature == (float(np.mean(uphill)) / math.log(2.0) if uphill else 1.0)
+            assert solvers._calibrate_temperature([row]).tolist() == [temperature]
+
+
 class TestSaClique:
     def test_immediate_success_on_complete_graph(self, k5):
         assert sa_clique(k5, 5, SolverConfig(seed=1)) == set(range(5))
